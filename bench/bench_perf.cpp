@@ -146,10 +146,13 @@ struct AssemblyFixture {
   numeric::Vector x;  ///< DC solution: a realistic stamping point
   std::size_t n = 0;
 
+  // A distinct input delay per driver keeps every driver unfolded, so the
+  // matrix really grows with N (identical drivers fold into one).
   explicit AssemblyFixture(int n_drivers)
       : bench([&] {
           circuit::SsnBenchSpec spec;
           spec.n_drivers = n_drivers;
+          for (int i = 0; i < n_drivers; ++i) spec.stagger.push_back(double(i) * 1e-12);
           return circuit::make_ssn_testbench(spec);
         }()) {
     x = sim::dc_operating_point(bench.circuit).solution;

@@ -208,7 +208,10 @@ print("audit: %d responses, %d fault impacts observed, 0 false-verified"
 EOF
 
 echo "=== leg 3: journal truncation under SIGTERM + resume ==="
-MC=(mc --sim --samples 120 --seed 4242)
+# ~2.5 ms of simulation per sample on the fault-injection build: 1500
+# samples compute for ~3.8 s on a 4-vCPU VM (before the journal's fsyncs),
+# over 10x the 0.3 s before the SIGTERM.
+MC=(mc --sim --samples 1500 --seed 4242)
 "$SSNKIT" "${MC[@]}" --journal "$WORK/clean.journal" \
     --out "$WORK/clean.csv" > "$WORK/clean.log"
 set +e
@@ -216,7 +219,7 @@ SSNKIT_FAULT_PLAN="seed=3,journal-truncate=0.2" \
     "$SSNKIT" "${MC[@]}" --journal "$WORK/torn.journal" \
     --out "$WORK/torn.csv" > "$WORK/torn.log" &
 PID=$!
-sleep 2
+sleep 0.3
 kill -TERM "$PID" 2> /dev/null
 wait "$PID"
 RC=$?

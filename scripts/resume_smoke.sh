@@ -24,22 +24,24 @@ fi
 WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT
 
-# ~6 ms per sample: a 600-sample batch runs ~4 s, so a SIGTERM after ~1 s
-# reliably lands mid-batch (and the comment at the top covers the fast-
-# machine case where it doesn't).
-SAMPLES=600
+# ~1.3 ms of simulation per sample (identical drivers fold into one): a
+# 2500-sample batch computes for ~3.3 s on a 4-vCPU VM before the journal's
+# per-record fsync adds more, over 10x the 0.3 s before the SIGTERM, so it
+# reliably lands mid-batch (and the comment at the top covers the
+# fast-machine case where it doesn't).
+SAMPLES=2500
 COMMON=(mc --sim --samples "$SAMPLES" --seed 4242)
 
 echo "=== clean run ==="
 "$SSNKIT" "${COMMON[@]}" --journal "$WORK/clean.journal" \
     --out "$WORK/clean.csv" > "$WORK/clean.log"
 
-echo "=== interrupted run (SIGTERM after ~1s) ==="
+echo "=== interrupted run (SIGTERM after ~0.3s) ==="
 set +e
 "$SSNKIT" "${COMMON[@]}" --journal "$WORK/part.journal" \
     --out "$WORK/part.csv" > "$WORK/part.log" &
 PID=$!
-sleep 1
+sleep 0.3
 kill -TERM "$PID" 2> /dev/null
 wait "$PID"
 RC=$?

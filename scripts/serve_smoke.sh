@@ -44,8 +44,9 @@ trap cleanup EXIT
 
 echo "=== leg 1: stdin mode, cache + warm restart ==="
 REQ='{"id":"r1","cmd":"estimate","n":8,"tr":1e-10}'
+# One worker thread: with more, r2 can run beside r1 and miss the cache.
 printf '%s\n%s\n' "$REQ" "${REQ/r1/r2}" \
-  | "$SSNKIT" serve --cache-file "$WORK/spill" > "$WORK/leg1a.log"
+  | "$SSNKIT" serve --threads 1 --cache-file "$WORK/spill" > "$WORK/leg1a.log"
 grep -q '"id":"r1","ok":true' "$WORK/leg1a.log"
 grep -q '"id":"r2","ok":true,"cached":true' "$WORK/leg1a.log"
 [ -f "$WORK/spill" ] || { echo "serve_smoke: no cache spill written" >&2; exit 1; }
@@ -74,20 +75,26 @@ done
     --out "$WORK/bench.json" > "$WORK/bench.log" 2>&1 &
 BENCH_PID=$!
 
-# One deliberately slow request so the SIGTERM reliably has in-flight work
-# to drain (and, past the 2 s drain deadline, to cancel with SSN-E066).
+# Deliberately slow requests so the SIGTERM reliably has in-flight work to
+# drain (and, past the 2 s drain deadline, to cancel with SSN-E066): 64
+# pipelined 34-point sweeps of ~1 us edges, 0.1-0.3 s each on a 4-vCPU VM,
+# over 10x the 1 s before the SIGTERM in total. Every edge differs so none
+# is answered from the cache.
 python3 - "$SOCK" > "$WORK/slow.log" 2>&1 <<'EOF' &
 import socket, sys
+K = 64
 s = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
 s.connect(sys.argv[1])
-s.sendall(b'{"id":"slow","cmd":"sweep-n","max_n":32}\n')
+s.sendall(b"".join(
+    b'{"id":"slow%d","cmd":"sweep-n","max_n":64,"tr":%.6e,"include_c":false}\n'
+    % (i, 1e-6 * (1 - 1e-3 * i)) for i in range(K)))
 buf = b""
-while b"\n" not in buf:
+while buf.count(b"\n") < K:
     chunk = s.recv(65536)
     if not chunk:
         break
     buf += chunk
-sys.stdout.write(buf.split(b"\n")[0].decode())
+sys.stdout.write(b"".join(l + b"\n" for l in buf.split(b"\n")[:-1]).decode())
 EOF
 SLOW_PID=$!
 
@@ -115,12 +122,17 @@ while IFS= read -r line; do
     || { echo "serve_smoke: non-JSON daemon output: $line" >&2; exit 1; }
 done < "$WORK/serve.log"
 
-# The slow client must have received a valid JSON response line (ok, shed,
+# The slow client must have received valid JSON response lines (ok, shed,
 # or the drain's SSN-E066 — but never silence or garbage).
 if [ -s "$WORK/slow.log" ]; then
-  jq -e . "$WORK/slow.log" > /dev/null \
-    || { echo "serve_smoke: slow client got garbage:" >&2
-         cat "$WORK/slow.log" >&2; exit 1; }
+  while IFS= read -r line; do
+    echo "$line" | jq -e '.ok or .code == "SSN-E064" or .code == "SSN-E066"' \
+        > /dev/null \
+      || { echo "serve_smoke: slow client got garbage: $line" >&2; exit 1; }
+  done < "$WORK/slow.log"
+  echo "slow client: $(wc -l < "$WORK/slow.log") responses," \
+       "$(grep -c SSN-E066 "$WORK/slow.log" || true) cancelled by the drain," \
+       "$(grep -c SSN-E064 "$WORK/slow.log" || true) shed"
 else
   echo "serve_smoke: slow client got no response" >&2
   exit 1

@@ -58,7 +58,7 @@ MonteCarloResult monte_carlo_vmax(const core::SsnScenario& nominal,
   out.samples.resize(std::size_t(opts.samples));
   std::vector<unsigned char> flipped(std::size_t(opts.samples), 0);
   std::vector<unsigned char> done(std::size_t(opts.samples), 0);
-  const support::BatchStatus status = support::parallel_for_index(
+  support::parallel_for_index(
       opts.threads, std::size_t(opts.samples),
       [&](std::size_t i) {
         const double* f = &factors[i * stride];
@@ -77,52 +77,33 @@ MonteCarloResult monte_carlo_vmax(const core::SsnScenario& nominal,
       },
       opts.run_ctx);
 
-  if (status.stopped) {
-    // Keep only the samples that actually finished (in index order). Which
-    // ones those are depends on worker timing — a partial closed-form
-    // population is best-effort, see the header comment.
-    std::vector<double> kept;
-    kept.reserve(status.completed);
-    int flips = 0;
-    for (std::size_t i = 0; i < done.size(); ++i) {
-      if (!done[i]) continue;
-      kept.push_back(out.samples[i]);
-      flips += flipped[i];
-    }
-    out.samples = std::move(kept);
-    out.completed = out.samples.size();
-    // Only report a stop that actually cost samples: workers can observe a
-    // trip that lands after the final item was already claimed.
-    if (out.completed < done.size() && opts.run_ctx != nullptr)
-      out.stop = opts.run_ctx->stop_reason();
-    if (!out.samples.empty()) {
-      out.mean = numeric::mean(out.samples);
-      out.stddev =
-          out.samples.size() > 1 ? numeric::stddev(out.samples) : 0.0;
-      out.min = numeric::min_value(out.samples);
-      out.max = numeric::max_value(out.samples);
-      out.p95 = numeric::quantile(out.samples, 0.95);
-      out.p99 = numeric::quantile(out.samples, 0.99);
-      out.ci95 = out.samples.size() > 1
-                     ? 1.96 * out.stddev / std::sqrt(double(out.samples.size()))
-                     : 0.0;
-      out.region_flip_fraction = double(flips) / double(out.samples.size());
-    }
-    return out;
-  }
-
+  // Keep the samples that finished, in index order: all of them unless the
+  // run was stopped. Which ones a stopped parallel run keeps depends on
+  // worker timing — a partial closed-form population is best-effort, see
+  // the header comment.
+  std::size_t kept = 0;
   int flips = 0;
-  for (unsigned char fl : flipped) flips += fl;
+  for (std::size_t i = 0; i < done.size(); ++i) {
+    if (!done[i]) continue;
+    out.samples[kept++] = out.samples[i];
+    flips += flipped[i];
+  }
+  out.samples.resize(kept);
+  out.completed = kept;
+  // Only report a stop that actually cost samples: workers can observe a
+  // trip that lands after the final item was already claimed.
+  if (kept < done.size() && opts.run_ctx != nullptr)
+    out.stop = opts.run_ctx->stop_reason();
+  if (kept == 0) return out;
 
-  out.completed = out.samples.size();
   out.mean = numeric::mean(out.samples);
-  out.stddev = numeric::stddev(out.samples);
+  out.stddev = kept > 1 ? numeric::stddev(out.samples) : 0.0;
   out.min = numeric::min_value(out.samples);
   out.max = numeric::max_value(out.samples);
   out.p95 = numeric::quantile(out.samples, 0.95);
   out.p99 = numeric::quantile(out.samples, 0.99);
-  out.ci95 = 1.96 * out.stddev / std::sqrt(double(out.samples.size()));
-  out.region_flip_fraction = double(flips) / double(opts.samples);
+  out.ci95 = kept > 1 ? 1.96 * out.stddev / std::sqrt(double(kept)) : 0.0;
+  out.region_flip_fraction = double(flips) / double(kept);
   return out;
 }
 

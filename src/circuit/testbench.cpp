@@ -1,8 +1,11 @@
 #include "circuit/testbench.hpp"
 
 #include "support/contracts.hpp"
+#include "support/journal.hpp"
 
-#include <stdexcept>
+#include <algorithm>
+#include <string>
+#include <vector>
 
 namespace ssnkit::circuit {
 
@@ -20,6 +23,19 @@ void SsnBenchSpec::validate() const {
   for (double s : stagger)
     SSN_REQUIRE(s >= 0.0, "SsnBenchSpec: stagger must be >= 0");
 }
+
+namespace {
+
+/// Drivers that see the same input are interchangeable on the shared vssi:
+/// one class per (switching, input delay), delays compared bit-exactly.
+struct DriverClass {
+  bool switching = false;
+  double delay = 0.0;  ///< input ramp start [s]
+  int first = 0;       ///< lowest member index; names the class's elements
+  int size = 0;
+};
+
+}  // namespace
 
 SsnBench make_ssn_testbench(const SsnBenchSpec& spec) {
   spec.validate();
@@ -49,61 +65,68 @@ SsnBench make_ssn_testbench(const SsnBenchSpec& spec) {
     ckt.add_capacitor("Cpad", n_vssi, gnd, spec.package.capacitance);
   }
 
-  // Shared device models: one instance serves all identical drivers.
-  std::shared_ptr<const devices::MosfetModel> nmos;
-  if (spec.pulldown_override) {
-    nmos = spec.driver_width_mult == 1.0  // ssnlint-ignore(SSN-L001)
-               ? spec.pulldown_override
-               : std::make_shared<devices::ScaledMosfetModel>(
-                     spec.pulldown_override->clone(), spec.driver_width_mult);
-  } else {
-    nmos = std::shared_ptr<const devices::MosfetModel>(
-        spec.tech.make_golden(spec.golden, spec.driver_width_mult));
-  }
-  // Pull-up: the same golden device mirrored (the element handles PMOS
-  // polarity); a 0.8 width factor reflects the usual Wp/Wn compromise.
-  std::shared_ptr<const devices::MosfetModel> pmos;
-  if (spec.include_pullup) {
-    pmos = std::shared_ptr<const devices::MosfetModel>(
-        std::make_shared<devices::ScaledMosfetModel>(
-            spec.tech.make_golden(spec.golden, spec.driver_width_mult),
-            0.8));
+  // Group the drivers into classes of identical input waveforms. Every
+  // driver keeps its own probe entry, naming its class's nodes.
+  const int total = spec.n_drivers + spec.n_quiet;
+  std::vector<DriverClass> classes;
+  for (int i = 0; i < total; ++i) {
+    const bool switching = i < spec.n_drivers;
+    const double delay =
+        switching && !spec.stagger.empty() ? spec.stagger[std::size_t(i)] : 0.0;
+    auto c = std::find_if(classes.begin(), classes.end(), [&](const auto& k) {
+      return k.switching == switching &&
+             support::double_bits(k.delay) == support::double_bits(delay);
+    });
+    if (c == classes.end()) c = classes.insert(c, {switching, delay, i, 0});
+    ++c->size;
+    const std::string idx = std::to_string(c->first);
+    bench.input_nodes.push_back("in" + idx);
+    bench.output_nodes.push_back("out" + idx);
   }
 
   bench.slope = vdd / spec.input_rise_time;
   bench.t_ramp_start = 0.0;
   bench.t_ramp_end = 0.0;
 
-  const int total = spec.n_drivers + spec.n_quiet;
-  for (int i = 0; i < total; ++i) {
-    const std::string idx = std::to_string(i);
+  // One driver per class, m times as strong as a single driver: the m
+  // members carry identical waveforms, so their currents simply add.
+  for (const DriverClass& dc : classes) {
+    const double m = double(dc.size);
+    const double width = spec.driver_width_mult * m;
+    const std::string idx = std::to_string(dc.first);
     const NodeId n_in = ckt.node("in" + idx);
     const NodeId n_out = ckt.node("out" + idx);
-    bench.input_nodes.push_back("in" + idx);
-    bench.output_nodes.push_back("out" + idx);
 
-    const bool switching = i < spec.n_drivers;
-    if (switching) {
-      const double delay = spec.stagger.empty() ? 0.0 : spec.stagger[std::size_t(i)];
+    if (dc.switching) {
       ckt.add_vsource("Vin" + idx, n_in, gnd,
-                      waveform::Ramp{0.0, vdd, delay, spec.input_rise_time});
+                      waveform::Ramp{0.0, vdd, dc.delay, spec.input_rise_time});
       bench.t_ramp_end =
-          std::max(bench.t_ramp_end, delay + spec.input_rise_time);
+          std::max(bench.t_ramp_end, dc.delay + spec.input_rise_time);
     } else {
       ckt.add_vsource("Vin" + idx, n_in, gnd, waveform::Dc{0.0});
     }
 
+    std::shared_ptr<const devices::MosfetModel> nmos;
+    if (spec.pulldown_override) {
+      nmos = std::make_shared<devices::ScaledMosfetModel>(
+          spec.pulldown_override->clone(), width);
+    } else {
+      nmos = spec.tech.make_golden(spec.golden, width);
+    }
     ckt.add_mosfet("Mn" + idx, n_out, n_in, n_vssi, n_bulk, nmos,
                    MosfetPolarity::kNmos);
     if (spec.include_pullup) {
-      ckt.add_mosfet("Mp" + idx, n_out, n_in, n_vdd, n_vdd, pmos,
+      // Pull-up: the same golden device mirrored (the element handles PMOS
+      // polarity); a 0.8 width factor reflects the usual Wp/Wn compromise.
+      ckt.add_mosfet("Mp" + idx, n_out, n_in, n_vdd, n_vdd,
+                     spec.tech.make_golden(spec.golden, 0.8 * width),
                      MosfetPolarity::kPmos);
     }
-    ckt.add_capacitor("Cl" + idx, n_out, gnd, cl);
+    ckt.add_capacitor("Cl" + idx, n_out, gnd, m * cl);
     // DC anchor: keeps the output node's operating point defined even with
-    // the pull-up omitted. 10 MOhm draws a negligible ~0.2 uA while still
-    // overpowering any residual subthreshold leakage of the models.
-    ckt.add_resistor("Ranchor" + idx, n_out, n_vdd, 1e7);
+    // the pull-up omitted. 10 MOhm per driver draws a negligible ~0.2 uA
+    // while still overpowering any residual subthreshold leakage.
+    ckt.add_resistor("Ranchor" + idx, n_out, n_vdd, 1e7 / m);
   }
   return bench;
 }

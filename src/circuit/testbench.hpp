@@ -2,20 +2,34 @@
 // discharging their pad loads simultaneously through a shared ground
 // parasitic network (Fig. 2/3/4 of the paper).
 //
-// Topology per driver i:
+// Drivers are built folded. Drivers whose inputs are identical (all quiet
+// drivers, or switching drivers with the same input delay, compared by
+// exact bit pattern) form one class, and each class of m members is built
+// as ONE driver m times as strong. Topology per class k (lowest member
+// index k, m members):
 //
-//      vdd ----+---[PMOS]---+--- out_i ---||--- 0   (load C_L to board gnd)
-//              |            |
-//   in_i ------+------------+
-//              |            |
-//              +---[NMOS]---+
-//                    |
-//                  vssi  --- L (+ optional R) --- 0, and C_pad from vssi to 0
+//      vdd ----+---[PMOS x0.8m]---+--- out_k ---||--- 0   (load m*C_L)
+//              |                  |
+//   in_k ------+------------------+--- 10M/m --- vdd      (DC anchor)
+//              |                  |
+//              +----[NMOS xm]-----+
+//                       |
+//                     vssi  --- L (+ optional R) --- 0, and C_pad from vssi to 0
+//
+// The m members carry identical waveforms, so their currents add on vssi:
+// the folded driver is the same circuit by symmetry, which is the paper's
+// Eqn 9/10 observation (only beta = N*L*S matters) applied to the
+// simulator. MNA size is O(#classes) instead of O(N).
+//
+// Names: a class keeps the element and node names of its lowest-index
+// member (Vin<k>, Mn<k>, Mp<k>, Cl<k>, Ranchor<k>, in<k>, out<k>). The
+// probe lists keep one entry per driver, naming that driver's class nodes,
+// so input_nodes[i] / output_nodes[i] resolve for every i < N + n_quiet.
 //
 // The NMOS bulk is tied to the quiet substrate (true ground) by default —
 // this is what makes the fitted ASDM lambda exceed 1 (body effect of the
-// bouncing source). A 1 GOhm anchor from each output to vdd keeps the DC
-// operating point well-posed even when the pull-up is omitted.
+// bouncing source). The 10 MOhm-per-driver anchor from each output to vdd
+// keeps the DC operating point well-posed even when the pull-up is omitted.
 #pragma once
 
 #include "circuit/circuit.hpp"
@@ -55,6 +69,8 @@ struct SsnBench {
   std::string vssi_node = "vssi";       ///< the bouncing internal ground
   std::string vdd_node = "vdd";
   std::string inductor_name = "Lgnd";   ///< branch current = total SSN current
+  /// One entry per driver (switching first, then quiet), each naming the
+  /// nodes of the driver's class; see the header comment.
   std::vector<std::string> input_nodes;
   std::vector<std::string> output_nodes;
   double t_ramp_start = 0.0;            ///< earliest input ramp start
@@ -63,5 +79,12 @@ struct SsnBench {
 };
 
 SsnBench make_ssn_testbench(const SsnBenchSpec& spec);
+
+/// Names the circuit make_ssn_testbench builds. Batch journals mix it into
+/// their configuration hash, so a journal written for another layout (such
+/// as the per-driver circuit used before drivers were folded, whose V_max
+/// differs in the last digits, typically ~1e-8 relative) is refused instead
+/// of resuming into bits this build would not reproduce.
+inline constexpr char kSsnBenchLayout[] = "folded-drivers";
 
 }  // namespace ssnkit::circuit

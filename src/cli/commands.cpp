@@ -7,6 +7,7 @@
 #include "analysis/sensitivity.hpp"
 #include "analysis/sweeps.hpp"
 #include "circuit/netlist.hpp"
+#include "circuit/testbench.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "serve/socket.hpp"
@@ -102,13 +103,16 @@ int finish_batch(std::ostream& os, support::StopReason stop,
 /// exact bit patterns: "the same configuration" means the same IEEE values,
 /// not the same rounded text. Thread count is deliberately absent — results
 /// are bit-identical for any value, so a journal written at --threads 8 is
-/// valid for a resume at --threads 1.
+/// valid for a resume at --threads 1. The testbench layout is present: a
+/// journal from a build that simulated another circuit must not resume.
 std::uint64_t batch_config_hash(const std::string& kind,
                                 const std::string& tech_name,
                                 const std::string& golden,
                                 const process::Package& pkg, int n, double tr,
                                 bool with_c, long long items, unsigned seed) {
   std::string s = kind;
+  s += '|';
+  s += circuit::kSsnBenchLayout;
   s += '|';
   s += tech_name;
   s += '|';

@@ -159,7 +159,9 @@ RequestParse parse_request(const std::string& line) {
 std::string cache_key_string(const ServeRequest& r) {
   // Doubles enter as exact bit patterns (same convention as the journal's
   // batch_config_hash): "the same request" means the same IEEE values.
-  std::string s = "serve-v1|";
+  // v2: simulated results come from the folded testbench, whose V_max bits
+  // differ from v1's per-driver circuit, so v1 spill entries never hit.
+  std::string s = "serve-v2|";
   s += r.cmd;
   s += '|';
   s += r.tech;

@@ -182,16 +182,22 @@ TEST(Netlist, MissingFieldsThrow) {
 // --- testbench ----------------------------------------------------------------
 
 TEST(Testbench, BuildsExpectedTopology) {
+  // Four identical drivers fold into one driver named after driver 0; each
+  // driver still has its own probe entry, all naming that driver's nodes.
   SsnBenchSpec spec;
   spec.n_drivers = 4;
   const SsnBench bench = make_ssn_testbench(spec);
   EXPECT_EQ(bench.input_nodes.size(), 4u);
   EXPECT_EQ(bench.output_nodes.size(), 4u);
+  for (const auto& out : bench.output_nodes) EXPECT_EQ(out, "out0");
+  for (const auto& in : bench.input_nodes) EXPECT_EQ(in, "in0");
   EXPECT_TRUE(bench.circuit.has_node("vssi"));
   EXPECT_NE(bench.circuit.find_element("Lgnd"), nullptr);
   EXPECT_NE(bench.circuit.find_element("Cpad"), nullptr);
   EXPECT_NE(bench.circuit.find_element("Mn0"), nullptr);
-  EXPECT_NE(bench.circuit.find_element("Mp3"), nullptr);
+  EXPECT_NE(bench.circuit.find_element("Mp0"), nullptr);
+  EXPECT_EQ(bench.circuit.find_element("Mp3"), nullptr);
+  EXPECT_FALSE(bench.circuit.has_node("out3"));
   EXPECT_DOUBLE_EQ(bench.t_ramp_end, spec.input_rise_time);
   EXPECT_NEAR(bench.slope, spec.tech.vdd / spec.input_rise_time, 1e-3);
 }

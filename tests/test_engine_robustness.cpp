@@ -59,13 +59,16 @@ TEST(ConvergenceOrder, Gear2IsSecondOrder) {
 }
 
 TEST(SparsePath, LargeDriverBankDcSatisfiesKcl) {
-  // 24 drivers -> ~75 unknowns. The engine's stamped-sparse solver is the
-  // only path now, so validate it against an independent dense assembly:
-  // the DC solution it returns must satisfy KCL of the dense-stamped MNA
-  // system to Newton tolerance.
+  // 24 drivers -> 76 unknowns (a distinct input delay per driver keeps
+  // them from folding). The engine's stamped-sparse solver is the only path
+  // now, so validate it against an independent dense assembly: the DC
+  // solution it returns must satisfy KCL of the dense-stamped MNA system to
+  // Newton tolerance.
   SsnBenchSpec spec;
   spec.n_drivers = 24;
+  for (int i = 0; i < spec.n_drivers; ++i) spec.stagger.push_back(double(i) * 1e-12);
   SsnBench bench = make_ssn_testbench(spec);
+  ASSERT_EQ(bench.circuit.finalize(), 76);
   const DcResult dc = dc_operating_point(bench.circuit);
 
   const std::size_t n = std::size_t(bench.circuit.unknown_count());
@@ -90,10 +93,12 @@ TEST(SparsePath, LargeDriverBankDcSatisfiesKcl) {
 TEST(SparsePath, LargeDriverBankVmaxIsReproducible) {
   // Two independent runs of the full measurement exercise pattern caching
   // and refactorization reuse from scratch; they must agree exactly and
-  // produce a physically sensible bounce.
+  // produce a physically sensible bounce. Distinct input delays keep all 24
+  // drivers in the matrix.
   const auto run = [] {
     SsnBenchSpec spec;
     spec.n_drivers = 24;
+    for (int i = 0; i < spec.n_drivers; ++i) spec.stagger.push_back(double(i) * 1e-12);
     return analysis::measure_ssn(spec, analysis::MeasureOptions{}).v_max;
   };
   const double v1 = run();
@@ -158,10 +163,12 @@ TEST(Robustness, StepBudgetConvertsGrindToError) {
 }
 
 TEST(PathologicalFixtures, LargeNonlinearBankRecordsDcTrail) {
-  // 32 strongly-driven nonlinear pull-downs sharing one bouncing rail: the
-  // DC solve must converge and record how it did so.
+  // 32 strongly-driven nonlinear pull-downs sharing one bouncing rail
+  // (distinct input delays keep them from folding into one): the DC solve
+  // must converge and record how it did so.
   SsnBenchSpec spec;
   spec.n_drivers = 32;
+  for (int i = 0; i < spec.n_drivers; ++i) spec.stagger.push_back(double(i) * 1e-12);
   spec.bulk_to_vssi = true;
   SsnBench bench = make_ssn_testbench(spec);
   const DcResult dc = dc_operating_point(bench.circuit);

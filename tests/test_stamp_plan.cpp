@@ -113,9 +113,13 @@ TEST(StampedMatrix, MulIntoMatchesDense) {
 // --- stamped assembly vs dense assembly on a real circuit -------------------
 
 TEST(StampPlan, StampedAssemblyMatchesDenseOnTestbench) {
+  // A distinct input delay per driver keeps all six drivers unfolded, so
+  // the comparison runs on the full 6-driver matrix.
   circuit::SsnBenchSpec spec;
   spec.n_drivers = 6;
+  for (int i = 0; i < spec.n_drivers; ++i) spec.stagger.push_back(double(i) * 1e-12);
   auto bench = circuit::make_ssn_testbench(spec);
+  ASSERT_EQ(bench.circuit.finalize(), 4 + 3 * spec.n_drivers);
   const Vector x = sim::dc_operating_point(bench.circuit).solution;
   const std::size_t n = std::size_t(bench.circuit.unknown_count());
 
