@@ -35,7 +35,8 @@ double model_vs_sim_error(const analysis::Calibration& cal, bool pullup,
   spec.include_pullup = pullup;
   spec.bulk_to_vssi = bulk_to_vssi;
   spec.golden = cal.golden;
-  const double v_sim = analysis::measure_ssn(spec).v_max;  // ssnlint-ignore(SSN-L013)
+  const double v_sim =
+      benchutil::full_device(analysis::measure_ssn(spec)).v_max;
   const auto scenario =
       analysis::make_scenario(cal, process::package_pga(), 8, 0.1e-9, false);
   return numeric::relative_error(core::LOnlyModel(scenario).v_max(), v_sim);

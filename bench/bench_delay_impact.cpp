@@ -34,7 +34,7 @@ int main() {
     spec.input_rise_time = t_rise;
     analysis::MeasureOptions mopts;
     mopts.overshoot_factor = 30.0;  // follow the output all the way down
-    const auto m = analysis::measure_ssn(spec, mopts);  // ssnlint-ignore(SSN-L013)
+    const auto m = benchutil::full_device(analysis::measure_ssn(spec, mopts));
 
     const auto cross = waveform::first_falling_crossing(m.vout, v_half);
     const double delay = cross.value_or(0.0);

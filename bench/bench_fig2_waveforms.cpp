@@ -37,7 +37,7 @@ int main() {
   spec.include_package_c = false;  // Section 3 configuration
   analysis::MeasureOptions mopts;
   mopts.overshoot_factor = 2.0;  // show the tail past the ramp
-  const auto sim = analysis::measure_ssn(spec, mopts);
+  const auto sim = benchutil::full_device(analysis::measure_ssn(spec, mopts));
 
   const auto scenario =
       analysis::make_scenario(cal, process::package_pga(), n_drivers, t_rise,

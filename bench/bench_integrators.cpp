@@ -30,7 +30,7 @@ int main() {
     mopts.transient.adaptive = adaptive;
     if (!adaptive) mopts.transient.dt_initial = dt_fixed;
     mopts.transient.dt_max = spec.input_rise_time / 50.0;
-    return analysis::measure_ssn(spec, mopts);
+    return benchutil::full_device(analysis::measure_ssn(spec, mopts));
   };
 
   // Reference: trapezoidal with a very tight fixed step.

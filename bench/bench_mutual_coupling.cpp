@@ -59,7 +59,7 @@ double simulate_with_coupling(const analysis::Calibration& cal, double l_pin,
   sim::TransientOptions opts;
   opts.t_stop = t_rise;
   opts.dt_max = t_rise / 200.0;
-  const auto result = sim::run_transient(ckt, opts);  // ssnlint-ignore(SSN-L013)
+  const auto result = benchutil::full_device(sim::run_transient_ex(ckt, opts));
   return result.waveform("vssi").maximum().value;
 }
 

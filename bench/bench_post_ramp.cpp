@@ -54,7 +54,8 @@ int main() {
     analysis::MeasureOptions mopts;
     mopts.overshoot_factor = 12.0;
     mopts.transient.dt_max = tr / 100.0;
-    const auto meas = analysis::measure_ssn(spec, mopts);  // ssnlint-ignore(SSN-L013)
+    const auto meas =
+        benchutil::full_device(analysis::measure_ssn(spec, mopts));
     const double v_sim = meas.vssi.maximum().value;  // over the whole run
 
     table.add_row(

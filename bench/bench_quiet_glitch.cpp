@@ -50,7 +50,8 @@ int main() {
     sim::TransientOptions topts;
     topts.t_stop = t_rise * 2.0;
     topts.dt_max = t_rise / 200.0;
-    const auto result = sim::run_transient(bench.circuit, topts);  // ssnlint-ignore(SSN-L013)
+    const auto result =
+        benchutil::full_device(sim::run_transient_ex(bench.circuit, topts));
     v_n = result.waveform("vssi").maximum().value;
     glitch = result.waveform("out" + victim).maximum().value;
   };

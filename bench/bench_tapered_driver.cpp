@@ -41,7 +41,8 @@ int main() {
     sim::TransientOptions topts;
     topts.t_stop = 4e-9;
     topts.dt_max = 5e-12;
-    const auto result = sim::run_transient(bench.circuit, topts);  // ssnlint-ignore(SSN-L013)
+    const auto result =
+        benchutil::full_device(sim::run_transient_ex(bench.circuit, topts));
 
     // Internal edge at the final gate: 10%..90% rise time.
     const auto gate = result.waveform(bench.final_gate_node);

@@ -11,6 +11,7 @@
 #include "analysis/measure.hpp"
 #include "core/lc_model.hpp"
 #include "io/table.hpp"
+#include "sim/recovery.hpp"
 
 #include <cstdio>
 
@@ -80,10 +81,16 @@ int main() {
     spec.stagger.resize(spec.n_drivers);
     for (int i = 0; i < spec.n_drivers; ++i)
       spec.stagger[std::size_t(i)] = double(i / 4) * step_ps * 1e-12;
-    const auto m = analysis::measure_ssn(spec);
-    // A design decision hangs on this number, so gate on the trust layer's
-    // verdict: a degraded measurement is still an estimate, but it must not
-    // silently drive the stagger recommendation.
+    const auto rm = analysis::measure_ssn(spec);
+    if (!rm.ok()) throw *rm.error;
+    const auto& m = rm.measurement;
+    // A design decision hangs on this number, so gate on its fidelity and
+    // the trust layer's verdict: a recovered or degraded measurement is
+    // still an estimate, but it must not silently drive the stagger
+    // recommendation.
+    if (rm.degraded())
+      std::fprintf(stderr, "warning: stagger run at %s fidelity\n",
+                   sim::to_string(rm.fidelity));
     if (m.trust.verdict == verify::Verdict::kDegraded)
       std::fprintf(stderr, "warning: stagger run not sign-off grade: %s\n",
                    m.trust.summary().c_str());

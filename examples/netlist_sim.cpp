@@ -58,7 +58,12 @@ int main(int argc, char** argv) {
   }
 
   try {
-    auto parsed = circuit::parse_netlist(text);
+    auto parse = circuit::parse_netlist_ex(text);
+    if (!parse.ok) {
+      std::fprintf(stderr, "%s\n", parse.diagnostics.format_all().c_str());
+      return 1;
+    }
+    auto& parsed = parse.netlist;
     if (!parsed.title.empty()) std::printf("title: %s\n", parsed.title.c_str());
     if (!parsed.tran) {
       std::fprintf(stderr, "netlist has no .tran directive\n");
@@ -68,7 +73,9 @@ int main(int argc, char** argv) {
     opts.t_stop = parsed.tran->tstop;
     opts.dt_initial = parsed.tran->tstep;
     opts.dt_max = parsed.tran->tstop / 100.0;
-    const auto result = sim::run_transient(parsed.circuit, opts);
+    const auto run = sim::run_transient_ex(parsed.circuit, opts);
+    if (!run.ok()) throw *run.error;
+    const auto& result = run.result;
 
     if (!result.has_signal(probe)) {
       std::fprintf(stderr, "no signal '%s'; available:", probe.c_str());

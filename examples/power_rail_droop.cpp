@@ -50,7 +50,12 @@ int main() {
   sim::TransientOptions topts;
   topts.t_stop = t_rise;
   topts.dt_max = t_rise / 200.0;
-  const auto result = sim::run_transient(ckt, topts);
+  const auto run = sim::run_transient_ex(ckt, topts);
+  if (!run.ok()) {
+    std::fprintf(stderr, "error: %s\n", run.error->what());
+    return 1;
+  }
+  const auto& result = run.result;
   // The engine verified this solve step by step (scaled residuals plus a
   // condition estimate); surface its verdict before comparing numbers.
   std::printf("solve trust: %s\n\n", result.trust.summary().c_str());

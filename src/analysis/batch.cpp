@@ -46,6 +46,48 @@ bool decode_point(const support::PointRecord& rec, PointOutcome& o) {
 
 }  // namespace
 
+void BatchSummary::record(const std::string& label, sim::Fidelity fidelity,
+                          const std::optional<support::SolverError>& error) {
+  ++total;
+  ++by_fidelity[sim::to_string(fidelity)];
+  switch (fidelity) {
+    case sim::Fidelity::kFullDevice: ++full_fidelity; break;
+    case sim::Fidelity::kAnalytic: ++analytic; break;
+    case sim::Fidelity::kFailed: ++failed; break;
+    default: ++recovered; break;
+  }
+  if (error) ++by_error[support::to_string(error->kind())];
+  if (fidelity != sim::Fidelity::kFullDevice) {
+    std::string note = label;
+    note += ": ";
+    note += sim::to_string(fidelity);
+    if (error) {
+      note += " [";
+      note += support::to_string(error->kind());
+      note += "]";
+    }
+    notes.push_back(std::move(note));
+  }
+}
+
+std::string BatchSummary::to_string() const {
+  std::string s = std::to_string(total) + " runs: " +
+                  std::to_string(full_fidelity) + " full-fidelity";
+  if (recovered > 0) s += ", " + std::to_string(recovered) + " recovered";
+  if (analytic > 0) s += ", " + std::to_string(analytic) + " analytic";
+  if (failed > 0) s += ", " + std::to_string(failed) + " failed";
+  if (not_run > 0) {
+    s += ", " + std::to_string(not_run) + " not run (" +
+         support::to_string(stop) + ")";
+  }
+  if (!by_error.empty()) {
+    s += "; errors:";
+    for (const auto& [kind, count] : by_error)
+      s += " " + kind + "=" + std::to_string(count);
+  }
+  return s;
+}
+
 BatchPoint bench_point(const Calibration& cal, const process::Package& package,
                        int n_drivers, double input_rise_time, bool include_c,
                        std::string label) {
@@ -91,9 +133,8 @@ BatchRun run_batch(const std::vector<BatchPoint>& points,
         if (mopts.transient.dt_max <= 0.0)
           mopts.transient.dt_max = p.spec.input_rise_time / 200.0;
         mopts.transient.run_ctx = opts.run_ctx;
-        ResilientMeasurement rm = measure_ssn_resilient(
-            p.spec, mopts, opts.recovery,
-            analytic_fallback ? &p.scenario : nullptr);
+        ResilientMeasurement rm = measure_ssn(
+            p.spec, mopts, analytic_fallback ? &p.scenario : nullptr);
         // An interrupted transient is not a result: the point stays not-run
         // and unjournaled, so a resume re-simulates it from scratch.
         if (rm.error && support::is_stop_kind(rm.error->kind())) return;

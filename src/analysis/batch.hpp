@@ -1,6 +1,6 @@
 // The one resilient batch core behind every simulated analysis batch: the
-// driver-count (Fig. 3), pad-capacitance (Fig. 4) and input-slope sweeps,
-// and the simulator-backed Monte Carlo. A batch is a list of points, each a
+// driver-count (Fig. 3) and pad-capacitance (Fig. 4) sweeps and the
+// simulator-backed Monte Carlo. A batch is a list of points, each a
 // testbench spec plus its calibrated closed form. The core measures every
 // point under the recovery ladder, in parallel, with cooperative stops and
 // checkpoint/resume, then replays the bookkeeping in index order. The
@@ -14,7 +14,7 @@
 #pragma once
 
 #include "analysis/calibrate.hpp"
-#include "analysis/resilience.hpp"
+#include "analysis/measure.hpp"
 #include "circuit/testbench.hpp"
 #include "core/scenario.hpp"
 #include "sim/recovery.hpp"
@@ -36,9 +36,6 @@ struct BatchOptions {
   /// Worker threads: 1 = serial (default), 0 = auto. Results are
   /// bit-identical for any value.
   int threads = 1;
-  /// The ladder a failing point climbs. A point that still fails is
-  /// accounted in the summary; it never aborts the batch.
-  sim::RecoveryPolicy recovery;
   /// Transient settings for every point. t_start/t_stop are filled in, and
   /// dt_max <= 0 resolves to the point's input rise time / 200.
   sim::TransientOptions transient;
@@ -63,6 +60,30 @@ struct BatchPoint {
   /// the drivers evaluate for their model columns.
   core::SsnScenario scenario;
   std::string label;  ///< names the point in summary notes ("n=4")
+};
+
+/// Aggregated outcome of a batch (a sweep or a Monte Carlo population):
+/// how many items landed at each fidelity and which error kinds were seen.
+struct BatchSummary {
+  std::size_t total = 0;
+  std::size_t full_fidelity = 0;  ///< fidelity == kFullDevice
+  std::size_t recovered = 0;      ///< simulation rungs 1-4
+  std::size_t analytic = 0;       ///< degraded to the closed forms
+  std::size_t failed = 0;         ///< no rung succeeded
+  /// Items the lifecycle layer never ran (cancel / deadline / item budget
+  /// drained the batch before they started). Not counted in `total`.
+  std::size_t not_run = 0;
+  /// Why the batch stopped early (kNone for a run that completed).
+  support::StopReason stop = support::StopReason::kNone;
+  std::map<std::string, std::size_t> by_fidelity;  ///< fidelity name -> count
+  std::map<std::string, std::size_t> by_error;     ///< error kind -> count
+  /// One line per degraded or failed item ("label: fidelity [error]").
+  std::vector<std::string> notes;
+
+  void record(const std::string& label, sim::Fidelity fidelity,
+              const std::optional<support::SolverError>& error);
+  bool all_full_fidelity() const { return full_fidelity == total; }
+  std::string to_string() const;
 };
 
 /// What one point came to.
@@ -90,11 +111,12 @@ struct BatchRun {
   verify::TrustReport trust;
 };
 
-/// Measure every point. With `analytic_fallback`, each simulated point is
-/// physics-checked against its closed form, and a point whose whole
-/// simulation ladder failed degrades to that closed form (tagged kAnalytic)
-/// instead of failing. Throws std::invalid_argument for a resume record
-/// with out-of-range fields.
+/// Measure every point under the recovery ladder; a point that still fails
+/// is accounted in the summary, it never aborts the batch. With
+/// `analytic_fallback`, each simulated point is physics-checked against its
+/// closed form, and a point whose whole simulation ladder failed degrades to
+/// that closed form (tagged kAnalytic) instead of failing. Throws
+/// std::invalid_argument for a resume record with out-of-range fields.
 BatchRun run_batch(const std::vector<BatchPoint>& points,
                    const BatchOptions& opts, bool analytic_fallback);
 

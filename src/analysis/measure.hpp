@@ -1,14 +1,27 @@
 // Run the MNA simulator on an SSN testbench and extract the quantities the
 // paper reports: the ground-bounce waveform, the inductor current and the
 // maximum noise during the input ramp.
+//
+// measure_ssn is the analysis-layer end of the recovery ladder. The engine
+// rungs (sim/recovery.hpp) retry the transient with progressively cheaper
+// numerics; measure_ssn adds the final rung the engine cannot reach —
+// degrading to the paper's closed-form LC / L-only models, which need the
+// calibrated SsnScenario known only here. Every result says which rung
+// produced it, so a recovered, analytic or failed number is never mistaken
+// for a full-device one.
 #pragma once
 
 #include "circuit/testbench.hpp"
 #include "core/scenario.hpp"
 #include "sim/engine.hpp"
+#include "sim/recovery.hpp"
+#include "support/diagnostics.hpp"
 #include "verify/physics.hpp"
 #include "verify/trust.hpp"
 #include "waveform/waveform.hpp"
+
+#include <optional>
+#include <vector>
 
 namespace ssnkit::analysis {
 
@@ -32,14 +45,45 @@ struct MeasureOptions {
   sim::TransientOptions transient;  ///< t_start/t_stop are filled in
 };
 
-/// Build the bench circuit, simulate it, and measure. The maximum is taken
-/// over [0, t_ramp_end], matching the validity window of the paper's
-/// formulas.
-SsnMeasurement measure_ssn(const circuit::SsnBenchSpec& spec,
-                           const MeasureOptions& opts = {});
+/// A measurement tagged with the solver fidelity that produced it. When the
+/// whole ladder (including the analytic rung, if a scenario was supplied)
+/// failed, `fidelity` is kFailed and `error` carries the typed diagnostic.
+struct ResilientMeasurement {
+  SsnMeasurement measurement;
+  sim::Fidelity fidelity = sim::Fidelity::kFullDevice;
+  /// Every recovery rung attempted, in order, with its outcome.
+  std::vector<support::RecoveryAttempt> attempts;
+  /// Populated when every simulation rung failed. The analytic rung, when
+  /// taken, leaves it set so callers can still see why simulation degraded.
+  std::optional<support::SolverError> error;
+
+  bool ok() const { return fidelity != sim::Fidelity::kFailed; }
+  bool degraded() const { return fidelity != sim::Fidelity::kFullDevice; }
+};
+
+/// Build the bench circuit, simulate it under the recovery ladder, and
+/// measure. The maximum is taken over [0, t_ramp_end], matching the
+/// validity window of the paper's formulas. Never throws on solver failure.
+///
+/// `analytic_fallback` is the calibrated scenario of this bench. When given,
+/// a simulated measurement is physics-checked against it
+/// (verify_measurement), and a bench whose every simulation rung failed is
+/// evaluated on the closed forms instead (LcModel when the scenario carries
+/// capacitance, LOnlyModel otherwise) and tagged kAnalytic. A cooperative
+/// stop (cancel / deadline) is never degraded: it stays kFailed.
+ResilientMeasurement measure_ssn(
+    const circuit::SsnBenchSpec& spec, const MeasureOptions& opts = {},
+    const core::SsnScenario* analytic_fallback = nullptr);
 
 /// Same, for a bench the caller already customized.
-SsnMeasurement measure_ssn(circuit::SsnBench& bench, const MeasureOptions& opts = {});
+ResilientMeasurement measure_ssn(
+    circuit::SsnBench& bench, const MeasureOptions& opts = {},
+    const core::SsnScenario* analytic_fallback = nullptr);
+
+/// Evaluate the closed-form measurement directly (the analytic rung on its
+/// own).
+SsnMeasurement analytic_measurement(const core::SsnScenario& scenario,
+                                    std::size_t points = 512);
 
 /// Run the src/verify physics invariants on a simulated measurement and
 /// fold the findings into its trust report: passivity of the ground path,

@@ -159,7 +159,8 @@ SimMonteCarloResult monte_carlo_vmax_sim(const Calibration& cal,
     p.scenario.device.k *= s.width_factor;
     points.push_back(std::move(p));
   }
-  const BatchRun run = run_batch(points, opts.batch, opts.analytic_fallback);
+  const BatchRun run =
+      run_batch(points, opts.batch, /*analytic_fallback=*/true);
 
   std::vector<double> survivors;
   survivors.reserve(out.samples.size());

@@ -74,9 +74,10 @@ MonteCarloResult monte_carlo_vmax(const core::SsnScenario& nominal,
 
 /// Options for the simulator-backed Monte Carlo. Each sample perturbs the
 /// package parasitics, the input edge and the driver width and runs the full
-/// MNA transient through the batch core; per-sample failures degrade (to a
-/// recovery rung or the calibrated closed form) or are dropped, never abort
-/// the batch.
+/// MNA transient through the batch core; a failing sample degrades to a
+/// recovery rung or, when its whole simulation ladder fails, to the
+/// calibrated closed form (tagged kAnalytic). Failures never abort the
+/// batch.
 struct SimMonteCarloOptions {
   int samples = 16;  ///< full transients are costly; keep batches small
   unsigned seed = 12345;
@@ -84,10 +85,7 @@ struct SimMonteCarloOptions {
   double sigma_c = 0.10;      ///< pad capacitance
   double sigma_rise = 0.05;   ///< input rise time
   double sigma_width = 0.05;  ///< driver width (scales the fitted K)
-  /// Degrade samples whose whole simulation ladder failed to the calibrated
-  /// closed-form estimate (tagged kAnalytic) instead of dropping them.
-  bool analytic_fallback = true;
-  /// Threads, recovery, lifecycle and checkpoint/resume.
+  /// Threads, lifecycle and checkpoint/resume.
   BatchOptions batch;
 
   void validate() const;

@@ -120,39 +120,6 @@ CapacitanceSweepResult run_capacitance_sweep(const CapacitanceSweepConfig& confi
   return out;
 }
 
-SlopeSweepResult run_slope_sweep(const SlopeSweepConfig& config) {
-  SSN_REQUIRE(!config.rise_times.empty(), "run_slope_sweep: no rise times");
-  SlopeSweepResult out;
-  out.calibration = calibrate(config.tech, config.golden);
-
-  std::vector<BatchPoint> points;
-  for (double tr : config.rise_times)
-    points.push_back(bench_point(out.calibration, config.package,
-                                 config.n_drivers, tr,
-                                 config.include_package_c,
-                                 label("tr=%.3gs", tr)));
-  const BatchRun run =
-      run_batch(points, config.batch, /*analytic_fallback=*/false);
-  out.summary = run.summary;
-  out.resumed = run.resumed;
-
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const PointOutcome& pt = run.points[i];
-    if (!pt.ok()) continue;
-    SlopeSweepRow row;
-    row.rise_time = config.rise_times[i];
-    row.slope = points[i].scenario.slope;
-    row.sim = pt.v_max;
-    row.fidelity = pt.fidelity;
-    row.model = config.include_package_c
-                    ? core::LcModel(points[i].scenario).v_max()
-                    : core::LOnlyModel(points[i].scenario).v_max();
-    row.err = numeric::relative_error(row.model, row.sim);
-    out.rows.push_back(row);
-  }
-  return out;
-}
-
 std::vector<BetaPoint> beta_equivalence_points(const Calibration& cal,
                                                double beta_target,
                                                const std::vector<int>& ns,

@@ -1,8 +1,8 @@
 // Parameter sweeps that regenerate the paper's evaluation figures: driver
-// count (Fig. 3), pad capacitance (Fig. 4), plus the input-slope sweep and
-// the beta-equivalence check used by the extension benches. The three
-// simulated sweeps are projections over the batch core (batch.hpp): each
-// maps its axis onto bench points and the outcomes onto its rows.
+// count (Fig. 3) and pad capacitance (Fig. 4), plus the beta-equivalence
+// check used by the extension benches. The two simulated sweeps are
+// projections over the batch core (batch.hpp): each maps its axis onto
+// bench points and the outcomes onto its rows.
 #pragma once
 
 #include "analysis/batch.hpp"
@@ -23,8 +23,8 @@ struct DriverSweepConfig {
   double input_rise_time = 0.1e-9;
   std::vector<int> driver_counts = {1, 2, 4, 6, 8, 10, 12, 14, 16};
   bool include_package_c = false;  ///< Fig. 3 compares L-only models
-  /// Threads, recovery, lifecycle and checkpoint/resume. A point that still
-  /// fails after the ladder is skipped and reported in the summary, never
+  /// Threads, lifecycle and checkpoint/resume. A point that still fails
+  /// after the ladder is skipped and reported in the summary, never
   /// substituted analytically: the `sim` column is the models' reference.
   BatchOptions batch;
 };
@@ -99,35 +99,6 @@ CapacitanceSweepResult run_capacitance_sweep(const CapacitanceSweepConfig& confi
 std::vector<double> default_capacitance_sweep();
 
 // --- extensions --------------------------------------------------------------
-
-/// Max SSN vs input slope at fixed N, L (model + simulator).
-struct SlopeSweepConfig {
-  process::Technology tech = process::tech_180nm();
-  process::Package package = process::package_pga();
-  process::GoldenKind golden = process::GoldenKind::kAlphaPower;
-  int n_drivers = 8;
-  std::vector<double> rise_times;  ///< [s]
-  bool include_package_c = false;  ///< LcModel when set, LOnlyModel otherwise
-  BatchOptions batch;  ///< see DriverSweepConfig::batch
-};
-
-struct SlopeSweepRow {
-  double rise_time = 0.0;
-  double slope = 0.0;
-  double sim = 0.0;
-  double model = 0.0;
-  double err = 0.0;
-  sim::Fidelity fidelity = sim::Fidelity::kFullDevice;
-};
-
-struct SlopeSweepResult {
-  Calibration calibration;
-  std::vector<SlopeSweepRow> rows;
-  BatchSummary summary;     ///< see DriverSweepResult::summary
-  std::size_t resumed = 0;  ///< see DriverSweepResult::resumed
-};
-
-SlopeSweepResult run_slope_sweep(const SlopeSweepConfig& config);
 
 /// The paper's beta-equivalence claim (Eqn 9/10): configurations with equal
 /// beta = N*L*S have equal predicted V_max. For each driver count in `ns`

@@ -1,6 +1,6 @@
 // The Circuit owns nodes and elements and hands the simulator a finalized
 // view (node count, branch count, element list). Build programmatically via
-// the add_* methods or from text via circuit::parse_netlist().
+// the add_* methods or from text via circuit::parse_netlist_ex().
 #pragma once
 
 #include "circuit/elements.hpp"

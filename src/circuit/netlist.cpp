@@ -803,14 +803,6 @@ io::NumberParse parse_spice_number_ex(const std::string& token) {
   return p;
 }
 
-double parse_spice_number(const std::string& token) {
-  const io::NumberParse p = parse_spice_number_ex(token);
-  if (!p.ok)
-    throw std::invalid_argument("parse_spice_number: " + p.error + " in '" +
-                                token + "'");
-  return p.value;
-}
-
 NetlistParseResult parse_netlist_ex(const std::string& text,
                                     const ParseOptions& options) {
   NetlistParseResult result;
@@ -832,12 +824,6 @@ NetlistParseResult parse_netlist_ex(const std::string& text,
   }
   result.ok = !result.diagnostics.has_errors();
   return result;
-}
-
-ParsedNetlist parse_netlist(const std::string& text) {
-  NetlistParseResult result = parse_netlist_ex(text);
-  if (!result.ok) throw io::ParseError(result.diagnostics);
-  return std::move(result.netlist);
 }
 
 }  // namespace ssnkit::circuit

@@ -88,23 +88,14 @@ struct NetlistParseResult {
 };
 
 /// Error-recovery parse: never throws; collects every diagnostic in one
-/// pass. This is the primary entry point (the CLI and the fuzz harness use
-/// it directly).
+/// pass. Check `ok` before simulating the netlist.
 NetlistParseResult parse_netlist_ex(const std::string& text,
                                     const ParseOptions& options = {});
-
-/// Throwing wrapper: parses with the default options and throws
-/// io::ParseError (derives std::invalid_argument) carrying *all* collected
-/// diagnostics when the input has errors.
-ParsedNetlist parse_netlist(const std::string& text);
 
 /// Parse a single SPICE number with optional unit suffix ("10p", "5MEG").
 /// Strictly decimal: "inf", "nan" and hex floats ("0x1p3") are rejected,
 /// and overflow reports out-of-range instead of leaking std::out_of_range.
-/// Throws std::invalid_argument on malformed input.
-double parse_spice_number(const std::string& token);
-
-/// Non-throwing variant; on failure `error` says why.
+/// Never throws; on failure `ok` is false and `error` says why.
 io::NumberParse parse_spice_number_ex(const std::string& token);
 
 }  // namespace ssnkit::circuit

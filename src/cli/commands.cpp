@@ -18,6 +18,7 @@
 #include "io/table.hpp"
 #include "sim/ac.hpp"
 #include "sim/engine.hpp"
+#include "sim/recovery.hpp"
 #include "support/faultinject.hpp"
 #include "support/journal.hpp"
 #include "support/runcontext.hpp"
@@ -393,15 +394,19 @@ int cmd_estimate(const Args& args, std::ostream& os) {
     spec.n_drivers = n;
     spec.input_rise_time = tr;
     spec.include_package_c = with_c;
-    auto m = analysis::measure_ssn(spec);
-    // Physics invariants + the paper's 3 % closed-form-vs-simulator bar,
-    // folded into the measurement's trust report before it is shown.
-    analysis::verify_measurement(m, scenario);
+    // The serve estimate's call: the recovery ladder, the physics
+    // invariants and the analytic rung. Then the paper's 3 %
+    // closed-form-vs-simulator bar, folded into the trust report.
+    auto rm = analysis::measure_ssn(spec, {}, &scenario);
+    if (!rm.ok()) throw *rm.error;
+    analysis::SsnMeasurement& m = rm.measurement;
     const double v_model = with_c ? core::LcModel(scenario).v_max()
                                   : core::LOnlyModel(scenario).v_max();
     verify::cross_check_closed_form(v_model, m.v_max, m.trust);
     os << "simulated max SSN: " << io::si_format(m.v_max, 5) << "V ("
        << m.stats.accepted_steps << " steps)\n";
+    if (rm.degraded())
+      os << "fidelity: " << sim::to_string(rm.fidelity) << "\n";
     os << "trust: " << m.trust.summary() << "\n";
   }
   warn_unused(args, os);

@@ -90,11 +90,6 @@ class SparseLu {
   std::vector<std::size_t> perm_;  // row permutation: PA = LU
 };
 
-/// Dense-or-sparse dispatch: uses SparseLu when the system is larger than
-/// `sparse_threshold` unknowns, dense LU otherwise.
-Vector solve_linear_auto(const Matrix& a, const Vector& b,
-                         std::size_t sparse_threshold = 48);
-
 /// Fixed-pattern CSR matrix for repeated assembly ("stamp plan" + value
 /// workspace). Two modes:
 ///

@@ -1,7 +1,7 @@
 #include "serve/handlers.hpp"
 
 #include "analysis/montecarlo.hpp"
-#include "analysis/resilience.hpp"
+#include "analysis/measure.hpp"
 #include "analysis/sweeps.hpp"
 #include "core/l_only_model.hpp"
 #include "core/lc_model.hpp"
@@ -123,15 +123,10 @@ std::string handle_estimate(const ServeRequest& req,
     spec.include_package_c = with_c;
     analysis::MeasureOptions opts;
     opts.transient.run_ctx = ctx;
-    const auto m = analysis::measure_ssn_resilient(spec, opts, {}, &scenario);
-    if (!m.ok()) {
-      if (m.error) throw *m.error;
-      throw support::SolverError(support::SolverErrorKind::kHomotopyExhausted,
-                                 "simulation failed with no diagnostic");
-    }
-    // A cancelled/deadlined sample must surface as a stop, not as a silent
-    // analytic degrade (the resilient driver keeps the stop error set).
-    if (m.error && support::is_stop_kind(m.error->kind())) throw *m.error;
+    const auto m = analysis::measure_ssn(spec, opts, &scenario);
+    // A failed measurement, a cancelled/deadlined one included (measure_ssn
+    // never degrades a stop to the analytic rung), surfaces as its error.
+    if (!m.ok()) throw *m.error;
     // The engine's solve/physics verdict, then the paper's 3 % bar between
     // the closed form and the simulator (SSN-W074 on disagreement).
     trust.merge(m.measurement.trust);

@@ -477,7 +477,7 @@ DcResult dc_operating_point(Circuit& ckt, double time, const NewtonOptions& newt
 
 TransientRun run_transient_ex(Circuit& ckt, const TransientOptions& opts) {
   SSN_REQUIRE(opts.t_stop > opts.t_start,
-              "run_transient: t_stop must be > t_start");
+              "run_transient_ex: t_stop must be > t_start");
   ckt.finalize();
   const std::size_t n = std::size_t(ckt.unknown_count());
   const int n_nodes = ckt.node_count();
@@ -819,14 +819,6 @@ TransientRun run_transient_ex(Circuit& ckt, const TransientOptions& opts) {
       result.trust.residual = result.stats.worst_scaled_residual;
   }
   return run;
-}
-
-TransientResult run_transient(Circuit& ckt, const TransientOptions& opts) {
-  SSN_REQUIRE(opts.t_stop > opts.t_start,
-              "run_transient: t_stop must be > t_start");
-  TransientRun run = run_transient_ex(ckt, opts);
-  if (run.error) throw *run.error;
-  return std::move(run.result);
 }
 
 }  // namespace ssnkit::sim

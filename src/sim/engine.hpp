@@ -15,9 +15,10 @@
 //
 // Failure reporting: every solver failure surfaces as a typed
 // support::SolverError (see support/diagnostics.hpp) carrying the failure
-// kind, location and the homotopy/recovery trail. run_transient_ex() is the
-// non-throwing variant batch drivers use: it returns the partial waveform
-// computed before the failure instead of discarding it.
+// kind, location and the homotopy/recovery trail. run_transient_ex() never
+// throws on solver failure: it returns the error beside the partial
+// waveform computed before it. Callers check ok() before reading the
+// result; sim/recovery.hpp wraps it in the recovery ladder.
 #pragma once
 
 #include "circuit/circuit.hpp"
@@ -95,8 +96,8 @@ struct TransientOptions {
   bool use_ic = false;
   /// Last-ditch per-timepoint rescue: when Newton still fails at the
   /// minimum step, retry the point with a gmin ramp (1e-3 -> 0) before
-  /// giving up. Off by default; the RecoveryPolicy ladder enables it on
-  /// its gmin rung.
+  /// giving up. Off by default; the recovery ladder enables it on its gmin
+  /// rung.
   bool newton_gmin_recovery = false;
   /// Optional job lifecycle context. When set, the accepted-step loop polls
   /// it and winds down with a typed kCancelled / kDeadlineExpired error —
@@ -117,15 +118,12 @@ struct TransientRun {
   bool ok() const { return !error.has_value(); }
 };
 
-/// Run a transient analysis without throwing on solver failure; the partial
-/// waveform computed before the failure is preserved in `result`.
+/// Run a transient analysis. Records every node voltage plus the branch
+/// current of every voltage-defined element as "I(name)". Never throws on
+/// solver failure: the partial waveform computed before the failure is
+/// preserved in `result` and `error` carries the typed diagnostic. Throws
+/// std::invalid_argument only for t_stop <= t_start.
 TransientRun run_transient_ex(circuit::Circuit& ckt,
                               const TransientOptions& opts);
-
-/// Run a transient analysis. Records every node voltage plus the branch
-/// current of every voltage-defined element as "I(name)". Throws
-/// support::SolverError on solver failure (the partial waveform is
-/// discarded; use run_transient_ex to keep it).
-TransientResult run_transient(circuit::Circuit& ckt, const TransientOptions& opts);
 
 }  // namespace ssnkit::sim

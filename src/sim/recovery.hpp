@@ -5,7 +5,7 @@
 // is cumulative and therefore fully deterministic):
 //
 //   0  full-device         the caller's options, unchanged
-//   1  tighten-damping     smaller max_voltage_step, doubled iteration budget
+//   1  tighten-damping     max_voltage_step x0.25, iteration budget x2
 //   2  alternate-integrator trap -> Gear-2 (or Gear-2 -> BE): damped methods
 //                          kill the trapezoidal ringing that grinds Newton
 //   3  gmin-recovery       per-timepoint gmin ramp at the failing point
@@ -13,11 +13,11 @@
 //                          engine re-initializes element state, so t_start
 //                          is the only safe checkpoint)
 //
-// A final analytic rung — degrade to the paper's closed-form LC / L-only
-// models — lives in analysis/resilience.hpp, where the SsnScenario needed
-// to evaluate the closed forms is known. The outcome is tagged with the
-// fidelity level actually achieved, and the partial high-fidelity waveform
-// from the first (unmodified) attempt is preserved for inspection.
+// The rungs and their factors are fixed. A final analytic rung — degrade to
+// the paper's closed-form LC / L-only models — lives in analysis::measure_ssn,
+// where the SsnScenario needed to evaluate the closed forms is known. The
+// outcome is tagged with the fidelity level actually achieved; a failed
+// rung's partial waveform is not kept.
 #pragma once
 
 #include "sim/engine.hpp"
@@ -43,22 +43,6 @@ enum class Fidelity {
 
 const char* to_string(Fidelity fidelity);
 
-/// Which rungs the ladder may climb and how aggressively. The defaults
-/// implement the full ladder; disable rungs to bound retry cost.
-struct RecoveryPolicy {
-  bool enabled = true;
-  bool try_tighten_damping = true;
-  bool try_alternate_integrator = true;
-  bool try_gmin_recovery = true;
-  bool try_reduced_timestep = true;
-  double damping_factor = 0.25;    ///< max_voltage_step multiplier on rung 1
-  int iteration_boost = 2;         ///< max_iterations multiplier on rung 1
-  /// Integrator for rung 2 when the caller asked for trapezoidal; a caller
-  /// already on Gear-2 falls back to backward Euler instead.
-  circuit::Integrator fallback_integrator = circuit::Integrator::kGear2;
-  double dt_max_shrink = 0.1;      ///< dt_max multiplier on rung 4
-};
-
 /// Result of a laddered transient run.
 struct RecoveryOutcome {
   TransientResult result;           ///< from the rung that succeeded
@@ -68,10 +52,6 @@ struct RecoveryOutcome {
   std::optional<support::SolverError> error;
   /// Every rung attempted, in order, with its outcome.
   std::vector<support::RecoveryAttempt> attempts;
-  /// The partial high-fidelity waveform the first (unmodified) attempt
-  /// computed before failing — empty when the first attempt succeeded or
-  /// failed before its first accepted point.
-  TransientResult partial_full_fidelity;
 
   bool ok() const { return !error.has_value(); }
   bool degraded() const { return fidelity != Fidelity::kFullDevice; }
@@ -79,9 +59,10 @@ struct RecoveryOutcome {
 
 /// Run a transient analysis, escalating through the recovery ladder on
 /// failure. Never throws on solver failure: a fully failed ladder returns
-/// an outcome with fidelity kFailed and the typed error.
+/// an outcome with fidelity kFailed and the typed error. A non-retryable
+/// error (a structurally singular circuit, a cooperative stop) ends the
+/// ladder after the first rung.
 RecoveryOutcome run_transient_resilient(circuit::Circuit& ckt,
-                                        const TransientOptions& opts,
-                                        const RecoveryPolicy& policy = {});
+                                        const TransientOptions& opts);
 
 }  // namespace ssnkit::sim

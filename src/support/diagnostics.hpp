@@ -12,7 +12,7 @@
 //   - the last Newton residual / update norm,
 //   - the DC homotopy trail (which stepping strategies ran, how far each
 //     got, and the residual it stalled at), and
-//   - the recovery rungs a RecoveryPolicy already attempted.
+//   - the recovery rungs the ladder already attempted.
 //
 // SolverError derives from std::runtime_error so every pre-existing
 // `catch (const std::runtime_error&)` keeps working; new callers switch on
@@ -55,7 +55,7 @@ inline const char* to_string(SolverErrorKind kind) {
   return "unknown";
 }
 
-/// Whether a RecoveryPolicy rung has a realistic chance of getting past
+/// Whether a recovery-ladder rung has a realistic chance of getting past
 /// this failure. kStepBudgetExhausted is classified retryable because a
 /// different integrator or dt_max often stops the grinding; a singular
 /// matrix is retryable only through the gmin path, which the ladder knows.

@@ -44,22 +44,6 @@ std::string ascii_chart(const Waveform& wave, const io::ChartOptions& opts) {
   return ascii_chart({&wave}, {opts.y_label}, opts);
 }
 
-void write_gnuplot_script(std::ostream& os,
-                          const std::vector<const Waveform*>& series,
-                          const std::vector<std::string>& names,
-                          const io::GnuplotOptions& opts) {
-  std::vector<std::vector<std::pair<double, double>>> pts;
-  for (const auto* wv : series) {
-    if (wv == nullptr)
-      throw std::invalid_argument("write_gnuplot_script: null series");
-    std::vector<std::pair<double, double>> p;
-    for (std::size_t i = 0; i < wv->size(); ++i)
-      p.emplace_back(wv->time(i), wv->value(i));
-    pts.push_back(std::move(p));
-  }
-  io::write_gnuplot_series_script(os, pts, names, opts);
-}
-
 void write_waveforms_csv(std::ostream& os, const std::vector<std::string>& names,
                          const std::vector<const Waveform*>& waves) {
   if (names.size() != waves.size())

@@ -1,12 +1,11 @@
-// Waveform presentation adapters: terminal charts, gnuplot scripts, and CSV
-// dumps of sampled waveforms. These sit in the waveform layer on purpose —
+// Waveform presentation adapters: terminal charts and CSV dumps of sampled
+// waveforms. These sit in the waveform layer on purpose —
 // the generic renderers in io know nothing about Waveform (io is below
 // waveform in the include DAG, SSN-L010); this header adapts Waveforms onto
 // io's point-series primitives.
 #pragma once
 
 #include "io/ascii_chart.hpp"
-#include "io/gnuplot.hpp"
 #include "waveform/waveform.hpp"
 
 #include <iosfwd>
@@ -24,12 +23,6 @@ std::string ascii_chart(const std::vector<const Waveform*>& series,
 
 /// Convenience overload for a single waveform.
 std::string ascii_chart(const Waveform& wave, const io::ChartOptions& opts = {});
-
-/// Write a gnuplot script plotting the given waveforms as lines.
-void write_gnuplot_script(std::ostream& os,
-                          const std::vector<const Waveform*>& series,
-                          const std::vector<std::string>& names,
-                          const io::GnuplotOptions& opts = {});
 
 /// Dump one or more waveforms (sampled at the first waveform's times) as
 /// time,name1,name2,... CSV.

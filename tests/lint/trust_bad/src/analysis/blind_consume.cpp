@@ -12,8 +12,17 @@ struct McResult {
   double p95 = 0.0;
 };
 
+struct TransientResult {
+  double final_value = 0.0;
+};
+
+struct TransientRun {
+  TransientResult result;
+};
+
 Measurement measure_ssn(int spec);
 McResult monte_carlo_vmax(int scenario);
+TransientRun run_transient_ex(int circuit);
 
 namespace fixture {
 
@@ -29,6 +38,12 @@ double named_but_blind(int scenario) {
   const auto mc = monte_carlo_vmax(scenario);
   const double headline = mc.mean;
   return headline + mc.p95;
+}
+
+double chained_transient(int circuit) {
+  // (a) on the transient entry: a failed run still returns its partial
+  // waveform, so reading .result blind mistakes a prefix for a full run.
+  return run_transient_ex(circuit).result.final_value;
 }
 
 }  // namespace fixture

@@ -18,8 +18,18 @@ struct McResult {
   int stop = 0;
 };
 
+struct TransientResult {
+  double final_value = 0.0;
+};
+
+struct TransientRun {
+  TransientResult result;
+  bool ok() const { return true; }
+};
+
 Measurement measure_ssn(int spec);
 McResult monte_carlo_vmax(int scenario);
+TransientRun run_transient_ex(int circuit);
 void verify_measurement(Measurement& m);
 
 namespace fixture {
@@ -41,6 +51,12 @@ double forwarded(int spec) {
   auto m = measure_ssn(spec);
   verify_measurement(m);
   return m.v_max;
+}
+
+double transient_checked(int circuit) {
+  const auto run = run_transient_ex(circuit);
+  if (!run.ok()) return 0.0;
+  return run.result.final_value;
 }
 
 Measurement returned_whole(int spec) {

@@ -1,4 +1,4 @@
-#include "numeric/ode.hpp"
+#include "reference/ode.hpp"
 
 #include "support/contracts.hpp"
 

@@ -6,11 +6,15 @@
 #include "analysis/sweeps.hpp"
 #include "core/l_only_model.hpp"
 #include "core/lc_model.hpp"
+#include "numeric/stats.hpp"
 #include "waveform/metrics.hpp"
 
-#include <cmath>
+#include "full_device.hpp"
 
 #include <gtest/gtest.h>
+
+#include <cmath>
+#include <vector>
 
 namespace {
 
@@ -61,7 +65,7 @@ TEST(EndToEnd, FormulaErrorIsolatedWithAsdmDevice) {
   spec.include_package_c = false;
   spec.include_pullup = false;
   spec.pulldown_override = std::make_shared<devices::AsdmModel>(cal.asdm.params);
-  const auto m = analysis::measure_ssn(spec);
+  const auto m = testutil::full_device(analysis::measure_ssn(spec));
 
   const auto scenario =
       make_scenario(cal, process::package_pga(), 8, 0.1e-9, false);
@@ -84,7 +88,7 @@ TEST(EndToEnd, LOnlyModelVsGoldenSimulator) {
   spec.n_drivers = 8;
   spec.input_rise_time = 0.1e-9;
   spec.include_package_c = false;
-  const auto m = analysis::measure_ssn(spec);
+  const auto m = testutil::full_device(analysis::measure_ssn(spec));
 
   const auto scenario =
       make_scenario(cal, process::package_pga(), 8, 0.1e-9, false);
@@ -105,7 +109,7 @@ TEST(EndToEnd, LcModelVsGoldenSimulatorAcrossRegions) {
     spec.n_drivers = 8;
     spec.input_rise_time = 0.1e-9;
     spec.package.capacitance = c;
-    const auto m = analysis::measure_ssn(spec);
+    const auto m = testutil::full_device(analysis::measure_ssn(spec));
     const double v_model = core::LcModel(base.with_capacitance(c)).v_max();
     EXPECT_NEAR(v_model, m.v_max, 0.10 * m.v_max) << "c_mult=" << c_mult;
   }
@@ -123,7 +127,7 @@ TEST(EndToEnd, LOnlyModelFailsWhenStronglyUnderdamped) {
   spec.n_drivers = 2;
   spec.input_rise_time = 0.5e-9;
   spec.package.capacitance = c;
-  const auto m = analysis::measure_ssn(spec);
+  const auto m = testutil::full_device(analysis::measure_ssn(spec));
 
   const double err_l_only =
       std::fabs(core::LOnlyModel(base).v_max() - m.v_max) / m.v_max;
@@ -178,39 +182,51 @@ TEST(Sweeps, CapacitanceSweepShapeMatchesFig4) {
 }
 
 TEST(Sweeps, SlopeSweepModelTracksSim) {
-  analysis::SlopeSweepConfig config;
-  config.rise_times = {0.05e-9, 0.1e-9, 0.3e-9};
-  const auto result = analysis::run_slope_sweep(config);
-  ASSERT_TRUE(result.summary.all_full_fidelity());
-  const auto& rows = result.rows;
-  ASSERT_EQ(rows.size(), 3u);
+  // Max SSN vs input slope at fixed N and L: the L-only model against the
+  // simulator, one direct measurement per rise time.
+  std::vector<double> sims;
+  for (double tr : {0.05e-9, 0.1e-9, 0.3e-9}) {
+    circuit::SsnBenchSpec spec;
+    spec.n_drivers = 8;
+    spec.input_rise_time = tr;
+    spec.include_package_c = false;
+    analysis::MeasureOptions mopts;
+    mopts.transient.dt_max = tr / 200.0;
+    const auto m = testutil::full_device(analysis::measure_ssn(spec, mopts));
+    const auto scenario = make_scenario(cal180(), spec.package, 8, tr, false);
+    EXPECT_LT(numeric::relative_error(core::LOnlyModel(scenario).v_max(),
+                                      m.v_max),
+              0.12)
+        << tr;
+    sims.push_back(m.v_max);
+  }
   // Faster edges, more noise.
-  EXPECT_GT(rows[0].sim, rows[1].sim);
-  EXPECT_GT(rows[1].sim, rows[2].sim);
-  for (const auto& r : rows) EXPECT_LT(r.err, 0.12);
+  EXPECT_GT(sims[0], sims[1]);
+  EXPECT_GT(sims[1], sims[2]);
 }
 
 TEST(Sweeps, RowsAreBitIdenticalToDirectMeasurements) {
   // The batch core measures exactly the bench a direct measure_ssn call
   // builds for the same point, and the rows evaluate the same closed form.
-  analysis::SlopeSweepConfig config;
-  config.n_drivers = 4;
+  analysis::DriverSweepConfig config;
+  config.driver_counts = {2, 4};
+  config.input_rise_time = 0.08e-9;
   config.include_package_c = true;
-  config.rise_times = {0.08e-9, 0.2e-9};
-  const auto result = analysis::run_slope_sweep(config);
+  const auto result = analysis::run_driver_sweep(config);
+  ASSERT_TRUE(result.summary.all_full_fidelity());
   ASSERT_EQ(result.rows.size(), 2u);
   for (const auto& row : result.rows) {
     circuit::SsnBenchSpec spec;
-    spec.n_drivers = config.n_drivers;
-    spec.input_rise_time = row.rise_time;
+    spec.n_drivers = row.n;
+    spec.input_rise_time = config.input_rise_time;
     analysis::MeasureOptions mopts;
-    mopts.transient.dt_max = row.rise_time / 200.0;
-    const auto m = analysis::measure_ssn(spec, mopts);
+    mopts.transient.dt_max = config.input_rise_time / 200.0;
+    const auto m = testutil::full_device(analysis::measure_ssn(spec, mopts));
     ASSERT_NE(m.trust.verdict, verify::Verdict::kDegraded);
     EXPECT_EQ(row.sim, m.v_max);
-    const auto scenario = make_scenario(cal180(), config.package,
-                                        config.n_drivers, row.rise_time, true);
-    EXPECT_EQ(row.model, core::LcModel(scenario).v_max());
+    const auto scenario = make_scenario(cal180(), config.package, row.n,
+                                        config.input_rise_time, true);
+    EXPECT_EQ(row.this_work, core::LcModel(scenario).v_max());
   }
 }
 

@@ -6,9 +6,28 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 namespace {
 
 using namespace ssnkit::circuit;
+
+/// Parse a netlist the test expects to be clean.
+ParsedNetlist parse_ok(const std::string& text) {
+  NetlistParseResult r = parse_netlist_ex(text);
+  EXPECT_TRUE(r.ok) << r.diagnostics.format_all();
+  return std::move(r.netlist);
+}
+
+bool parses(const std::string& text) { return parse_netlist_ex(text).ok; }
+
+/// Parse a SPICE number the test expects to be well formed.
+double spice_number(const std::string& token) {
+  const auto p = parse_spice_number_ex(token);
+  EXPECT_TRUE(p.ok) << token << ": " << p.error;
+  return p.value;
+}
 
 TEST(Circuit, GroundAliases) {
   Circuit ckt;
@@ -65,35 +84,35 @@ TEST(Circuit, ElementParameterValidation) {
 // --- SPICE numbers -----------------------------------------------------------
 
 TEST(SpiceNumber, SuffixScales) {
-  EXPECT_DOUBLE_EQ(parse_spice_number("10p"), 10e-12);
-  EXPECT_DOUBLE_EQ(parse_spice_number("5n"), 5e-9);
-  EXPECT_DOUBLE_EQ(parse_spice_number("3.3u"), 3.3e-6);
-  EXPECT_DOUBLE_EQ(parse_spice_number("10m"), 10e-3);
-  EXPECT_DOUBLE_EQ(parse_spice_number("1k"), 1e3);
-  EXPECT_DOUBLE_EQ(parse_spice_number("2MEG"), 2e6);
-  EXPECT_DOUBLE_EQ(parse_spice_number("2meg"), 2e6);
-  EXPECT_DOUBLE_EQ(parse_spice_number("1g"), 1e9);
-  EXPECT_DOUBLE_EQ(parse_spice_number("4f"), 4e-15);
-  EXPECT_DOUBLE_EQ(parse_spice_number("1.5"), 1.5);
-  EXPECT_DOUBLE_EQ(parse_spice_number("-3e-9"), -3e-9);
+  EXPECT_DOUBLE_EQ(spice_number("10p"), 10e-12);
+  EXPECT_DOUBLE_EQ(spice_number("5n"), 5e-9);
+  EXPECT_DOUBLE_EQ(spice_number("3.3u"), 3.3e-6);
+  EXPECT_DOUBLE_EQ(spice_number("10m"), 10e-3);
+  EXPECT_DOUBLE_EQ(spice_number("1k"), 1e3);
+  EXPECT_DOUBLE_EQ(spice_number("2MEG"), 2e6);
+  EXPECT_DOUBLE_EQ(spice_number("2meg"), 2e6);
+  EXPECT_DOUBLE_EQ(spice_number("1g"), 1e9);
+  EXPECT_DOUBLE_EQ(spice_number("4f"), 4e-15);
+  EXPECT_DOUBLE_EQ(spice_number("1.5"), 1.5);
+  EXPECT_DOUBLE_EQ(spice_number("-3e-9"), -3e-9);
 }
 
 TEST(SpiceNumber, UnitNamesTolerated) {
-  EXPECT_DOUBLE_EQ(parse_spice_number("10pF"), 10e-12);
-  EXPECT_DOUBLE_EQ(parse_spice_number("5nH"), 5e-9);
-  EXPECT_DOUBLE_EQ(parse_spice_number("2V"), 2.0);
+  EXPECT_DOUBLE_EQ(spice_number("10pF"), 10e-12);
+  EXPECT_DOUBLE_EQ(spice_number("5nH"), 5e-9);
+  EXPECT_DOUBLE_EQ(spice_number("2V"), 2.0);
 }
 
 TEST(SpiceNumber, MalformedThrows) {
-  EXPECT_THROW(parse_spice_number(""), std::invalid_argument);
-  EXPECT_THROW(parse_spice_number("abc"), std::invalid_argument);
-  EXPECT_THROW(parse_spice_number("1.5q"), std::invalid_argument);
+  EXPECT_FALSE(parse_spice_number_ex("").ok);
+  EXPECT_FALSE(parse_spice_number_ex("abc").ok);
+  EXPECT_FALSE(parse_spice_number_ex("1.5q").ok);
 }
 
 // --- netlist -----------------------------------------------------------------
 
 TEST(Netlist, ParsesRlcDivider) {
-  const auto parsed = parse_netlist(R"(simple divider
+  const auto parsed = parse_ok(R"(simple divider
 V1 in 0 DC 2.0
 R1 in out 1k
 R2 out 0 1k
@@ -111,7 +130,7 @@ C1 out 0 10p
 }
 
 TEST(Netlist, ParsesSourceShapes) {
-  const auto parsed = parse_netlist(R"(
+  const auto parsed = parse_ok(R"(
 V1 a 0 RAMP(0 1.8 0 0.1n)
 V2 b 0 PULSE(0 1 0 10p 10p 1n 2n)
 V3 c 0 PWL(0 0, 1n 1, 2n 0)
@@ -129,7 +148,7 @@ I1 f 0 DC 1m
 }
 
 TEST(Netlist, ParsesDevicesAndModels) {
-  const auto parsed = parse_netlist(R"(
+  const auto parsed = parse_ok(R"(
 .model NDRV ALPHA VDD=1.8 VT0=0.45 ALPHA=1.3 ID0=6.5m VD0=0.9 GAMMA=0.35
 .model PDRV ALPHA VDD=1.8 VT0=0.45 ALPHA=1.3 ID0=5m VD0=0.9 PMOS
 .model LIN ASDM K=5.8m LAMBDA=1.28 VX=0.61
@@ -150,7 +169,7 @@ L1 vssi 0 5n
 }
 
 TEST(Netlist, CommentsAndBlanksIgnored) {
-  const auto parsed = parse_netlist(R"(* a title comment
+  const auto parsed = parse_ok(R"(* a title comment
 * full comment
 R1 a 0 1k ; trailing comment
 R2 a 0 2k // another
@@ -160,23 +179,20 @@ R2 a 0 2k // another
 }
 
 TEST(Netlist, ErrorsCarryLineNumbers) {
-  try {
-    parse_netlist("R1 a 0 1k\nQ1 a b c\n");
-    FAIL() << "expected parse error";
-  } catch (const std::invalid_argument& e) {
-    // Diagnostics render as file:line:column.
-    EXPECT_NE(std::string(e.what()).find(":2:"), std::string::npos);
-  }
+  const auto r = parse_netlist_ex("R1 a 0 1k\nQ1 a b c\n");
+  EXPECT_FALSE(r.ok);
+  // Diagnostics render as file:line:column.
+  EXPECT_NE(r.diagnostics.format_all().find(":2:"), std::string::npos);
 }
 
 TEST(Netlist, UnknownModelThrows) {
-  EXPECT_THROW(parse_netlist("M1 d g s 0 NOPE\n"), std::invalid_argument);
+  EXPECT_FALSE(parses("M1 d g s 0 NOPE\n"));
 }
 
 TEST(Netlist, MissingFieldsThrow) {
-  EXPECT_THROW(parse_netlist("R1 a 0\n"), std::invalid_argument);
-  EXPECT_THROW(parse_netlist("V1 a 0 RAMP(0 1)\n"), std::invalid_argument);
-  EXPECT_THROW(parse_netlist(".tran 1p\n"), std::invalid_argument);
+  EXPECT_FALSE(parses("R1 a 0\n"));
+  EXPECT_FALSE(parses("V1 a 0 RAMP(0 1)\n"));
+  EXPECT_FALSE(parses(".tran 1p\n"));
 }
 
 // --- testbench ----------------------------------------------------------------
@@ -238,7 +254,7 @@ TEST(Testbench, SpecValidation) {
 
 
 TEST(Netlist, SubcircuitExpansion) {
-  const auto parsed = parse_netlist(R"(* subckt demo
+  const auto parsed = parse_ok(R"(* subckt demo
 .subckt RCDIV in out
 R1 in out 1k
 R2 out 0 1k
@@ -259,7 +275,7 @@ Rload bot 0 1meg
 }
 
 TEST(Netlist, SubcircuitDcSolvesCorrectly) {
-  auto parsed = parse_netlist(R"(
+  auto parsed = parse_ok(R"(
 .subckt HALVER in out
 Ra in out 1k
 Rb out 0 1k
@@ -272,7 +288,7 @@ X1 a b HALVER
 }
 
 TEST(Netlist, NestedSubcircuits) {
-  auto parsed = parse_netlist(R"(
+  auto parsed = parse_ok(R"(
 .subckt UNIT a b
 Ru a b 100
 .ends
@@ -291,21 +307,17 @@ Rq q 0 200
 }
 
 TEST(Netlist, SubcircuitErrors) {
-  EXPECT_THROW(parse_netlist("X1 a b NOPE\n"), std::invalid_argument);
-  EXPECT_THROW(parse_netlist(".subckt A x\nR1 x 0 1k\n"),
-               std::invalid_argument);  // unterminated
-  EXPECT_THROW(parse_netlist(".ends\n"), std::invalid_argument);
-  EXPECT_THROW(parse_netlist(
-                   ".subckt A x\nR1 x 0 1k\n.ends\nX1 a b A\n"),
-               std::invalid_argument);  // port count mismatch
+  EXPECT_FALSE(parses("X1 a b NOPE\n"));
+  EXPECT_FALSE(parses(".subckt A x\nR1 x 0 1k\n"));  // unterminated
+  EXPECT_FALSE(parses(".ends\n"));
+  // Port count mismatch.
+  EXPECT_FALSE(parses(".subckt A x\nR1 x 0 1k\n.ends\nX1 a b A\n"));
   // Self-recursive subcircuit trips the depth limit.
-  EXPECT_THROW(parse_netlist(
-                   ".subckt A x\nX1 x A\n.ends\nX1 a A\n"),
-               std::invalid_argument);
+  EXPECT_FALSE(parses(".subckt A x\nX1 x A\n.ends\nX1 a A\n"));
 }
 
 TEST(Netlist, GroundIsGlobalInsideSubcircuits) {
-  auto parsed = parse_netlist(R"(
+  auto parsed = parse_ok(R"(
 .subckt TIE a
 Rt a 0 50
 .ends
@@ -322,8 +334,8 @@ X1 n TIE
 }
 
 TEST(Netlist, MalformedInputsThrowNotCrash) {
-  // A grab-bag of malformed netlists: every one must throw
-  // std::invalid_argument (never crash, never silently succeed).
+  // A grab-bag of malformed netlists: every one must be rejected (never
+  // crash, never silently succeed).
   const char* cases[] = {
       "R1\n",
       "R1 a\n",
@@ -346,21 +358,21 @@ TEST(Netlist, MalformedInputsThrowNotCrash) {
       "L1 a 0 5n\nK1 L1 L1 0.5\nK2 L1 LX 0.5\n",
   };
   for (const char* text : cases) {
-    EXPECT_THROW(parse_netlist(text), std::invalid_argument) << text;
+    EXPECT_FALSE(parses(text)) << text;
   }
 }
 
 TEST(Netlist, DegenerateButValidInputs) {
   // Things that look odd but are legal.
-  EXPECT_NO_THROW(parse_netlist(""));
-  EXPECT_NO_THROW(parse_netlist("\n\n\n"));
-  EXPECT_NO_THROW(parse_netlist("* only a comment\n"));
-  EXPECT_NO_THROW(parse_netlist("just a title line\n"));
+  EXPECT_TRUE(parses(""));
+  EXPECT_TRUE(parses("\n\n\n"));
+  EXPECT_TRUE(parses("* only a comment\n"));
+  EXPECT_TRUE(parses("just a title line\n"));
   // Binary garbage on the first line is (by SPICE convention) the title.
-  EXPECT_NO_THROW(parse_netlist("\x01\x02 binary garbage\n.tran 1p 1n\n"));
-  EXPECT_NO_THROW(parse_netlist(".end\n"));
+  EXPECT_TRUE(parses("\x01\x02 binary garbage\n.tran 1p 1n\n"));
+  EXPECT_TRUE(parses(".end\n"));
   // Cards after .end are ignored.
-  const auto parsed = parse_netlist("R1 a 0 1k\n.end\nR2 a 0 1k\n");
+  const auto parsed = parse_ok("R1 a 0 1k\n.end\nR2 a 0 1k\n");
   EXPECT_NE(parsed.circuit.find_element("R1"), nullptr);
   EXPECT_EQ(parsed.circuit.find_element("R2"), nullptr);
 }

@@ -7,7 +7,7 @@
 #include "circuit/testbench.hpp"
 #include "numeric/levenberg_marquardt.hpp"
 #include "numeric/lu.hpp"
-#include "numeric/ode.hpp"
+#include "reference/ode.hpp"
 #include "process/package.hpp"
 #include "process/technology.hpp"
 #include "waveform/source_spec.hpp"

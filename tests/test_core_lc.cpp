@@ -2,7 +2,7 @@
 // solutions against RK45, the four max-SSN formulas, and limits.
 #include "core/l_only_model.hpp"
 #include "core/lc_model.hpp"
-#include "numeric/ode.hpp"
+#include "reference/ode.hpp"
 
 #include <gtest/gtest.h>
 

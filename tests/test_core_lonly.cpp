@@ -1,7 +1,7 @@
 // Section 3 formulas (L-only model): exact-solution checks against the ODE,
 // the beta figure, and the design-implication properties.
 #include "core/l_only_model.hpp"
-#include "numeric/ode.hpp"
+#include "reference/ode.hpp"
 
 #include <gtest/gtest.h>
 

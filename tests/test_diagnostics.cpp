@@ -2,7 +2,7 @@
 // carries a kind, a location and the homotopy/recovery trails, and the
 // solver entry points actually populate them.
 #include "circuit/circuit.hpp"
-#include "numeric/ode.hpp"
+#include "reference/ode.hpp"
 #include "sim/engine.hpp"
 #include "support/diagnostics.hpp"
 

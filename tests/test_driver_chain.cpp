@@ -3,6 +3,8 @@
 #include "sim/engine.hpp"
 #include "waveform/metrics.hpp"
 
+#include "full_device.hpp"
+
 #include <gtest/gtest.h>
 
 namespace {
@@ -66,7 +68,8 @@ TEST(DriverChain, PadDischargesAndGroundBounces) {
   sim::TransientOptions opts;
   opts.t_stop = 4e-9;
   opts.dt_max = 10e-12;
-  const auto result = sim::run_transient(bench.circuit, opts);
+  const auto result =
+      testutil::full_device(sim::run_transient_ex(bench.circuit, opts));
   // Pad ends low.
   EXPECT_LT(result.final_value("out0"), 0.2);
   // Ground bounced on the way.
@@ -84,7 +87,8 @@ TEST(DriverChain, EdgeSharpensThroughTheChain) {
   sim::TransientOptions opts;
   opts.t_stop = 2e-9;
   opts.dt_max = 5e-12;
-  const auto result = sim::run_transient(bench.circuit, opts);
+  const auto result =
+      testutil::full_device(sim::run_transient_ex(bench.circuit, opts));
   const auto gate = result.waveform(bench.final_gate_node);
   const auto t10 = waveform::first_rising_crossing(gate, 0.1 * spec.tech.vdd);
   const auto t90 = waveform::first_rising_crossing(gate, 0.9 * spec.tech.vdd);
@@ -102,7 +106,7 @@ TEST(DriverChain, NoisyPredriverGroundSelfThrottles) {
     sim::TransientOptions opts;
     opts.t_stop = 2e-9;
     opts.dt_max = 10e-12;
-    return sim::run_transient(bench.circuit, opts)
+    return testutil::full_device(sim::run_transient_ex(bench.circuit, opts))
         .waveform("vssi")
         .maximum()
         .value;

@@ -7,6 +7,8 @@
 #include "sim/engine.hpp"
 #include "support/diagnostics.hpp"
 
+#include "full_device.hpp"
+
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -32,7 +34,8 @@ double rc_error_with_step(Integrator method, double h) {
   opts.adaptive = false;
   opts.dt_initial = h;
   opts.method = method;
-  const TransientResult res = run_transient(ckt, opts);
+  const TransientResult res =
+      testutil::full_device(run_transient_ex(ckt, opts));
   double err = 0.0;
   for (double t = 1e-9; t <= 3.5e-9; t += 0.25e-9)
     err = std::max(err, std::fabs(res.waveform("out").sample(t) -
@@ -99,7 +102,7 @@ TEST(SparsePath, LargeDriverBankVmaxIsReproducible) {
     SsnBenchSpec spec;
     spec.n_drivers = 24;
     for (int i = 0; i < spec.n_drivers; ++i) spec.stagger.push_back(double(i) * 1e-12);
-    return analysis::measure_ssn(spec, analysis::MeasureOptions{}).v_max;
+    return testutil::full_device(analysis::measure_ssn(spec)).v_max;
   };
   const double v1 = run();
   const double v2 = run();
@@ -116,7 +119,8 @@ TEST(SsnBenchIntegrators, AllMethodsAgreeOnVmax) {
     analysis::MeasureOptions mopts;
     mopts.transient.method = method;
     mopts.transient.dt_max = spec.input_rise_time / 400.0;
-    const double v = analysis::measure_ssn(spec, mopts).v_max;
+    const double v =
+        testutil::full_device(analysis::measure_ssn(spec, mopts)).v_max;
     if (v_ref == 0.0) v_ref = v;
     EXPECT_NEAR(v, v_ref, 0.01 * v_ref);
   }
@@ -152,14 +156,11 @@ TEST(Robustness, StepBudgetConvertsGrindToError) {
   opts.adaptive = false;
   opts.dt_initial = 1e-15;  // would need 1e6 steps
   opts.max_steps = 1000;
-  EXPECT_THROW(run_transient(ckt, opts), std::runtime_error);
-  try {
-    run_transient(ckt, opts);
-  } catch (const support::SolverError& e) {
-    EXPECT_EQ(e.kind(), support::SolverErrorKind::kStepBudgetExhausted);
-    EXPECT_TRUE(e.retryable());
-    EXPECT_TRUE(std::isfinite(e.diagnostics().time));
-  }
+  const TransientRun run = run_transient_ex(ckt, opts);
+  ASSERT_FALSE(run.ok());
+  EXPECT_EQ(run.error->kind(), support::SolverErrorKind::kStepBudgetExhausted);
+  EXPECT_TRUE(run.error->retryable());
+  EXPECT_TRUE(std::isfinite(run.error->diagnostics().time));
 }
 
 TEST(PathologicalFixtures, LargeNonlinearBankRecordsDcTrail) {
@@ -245,8 +246,8 @@ TEST(Robustness, RepeatSimulationIsIdempotent) {
   SsnBench bench = make_ssn_testbench({});
   TransientOptions opts;
   opts.t_stop = 0.1e-9;
-  const auto r1 = run_transient(bench.circuit, opts);
-  const auto r2 = run_transient(bench.circuit, opts);
+  const auto r1 = testutil::full_device(run_transient_ex(bench.circuit, opts));
+  const auto r2 = testutil::full_device(run_transient_ex(bench.circuit, opts));
   EXPECT_EQ(r1.point_count(), r2.point_count());
   EXPECT_DOUBLE_EQ(r1.final_value("vssi"), r2.final_value("vssi"));
 }

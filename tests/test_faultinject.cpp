@@ -4,18 +4,23 @@
 // crash, hang or silent NaN — need the instrumented binary and GTEST_SKIP
 // elsewhere (build with the `fault-injection` preset to run them).
 #include "analysis/calibrate.hpp"
+#include "analysis/measure.hpp"
 #include "analysis/montecarlo.hpp"
-#include "analysis/resilience.hpp"
 #include "circuit/circuit.hpp"
 #include "circuit/testbench.hpp"
+#include "cli/commands.hpp"
 #include "sim/engine.hpp"
 #include "sim/recovery.hpp"
 #include "support/faultinject.hpp"
+
+#include "full_device.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <sstream>
+#include <string>
 #include <vector>
 
 namespace {
@@ -267,7 +272,8 @@ TEST_F(FaultInjection, FactorBitFlipIsNeverSilentlyWrong) {
 
   SsnBench ref_bench = make_ssn_testbench(spec);
   const TransientOptions opts = bench_opts(ref_bench, spec.input_rise_time);
-  const TransientResult ref = run_transient(ref_bench.circuit, opts);
+  const TransientResult ref =
+      testutil::full_device(run_transient_ex(ref_bench.circuit, opts));
   ASSERT_EQ(ref.trust.verdict, ssnkit::verify::Verdict::kVerified)
       << ref.trust.summary();
   const double v_ref = ref.waveform(ref_bench.vssi_node).maximum().value;
@@ -279,7 +285,8 @@ TEST_F(FaultInjection, FactorBitFlipIsNeverSilentlyWrong) {
   injector.arm(FaultKind::kFactorBitFlip, probe);
   {
     SsnBench bench = make_ssn_testbench(spec);
-    run_transient(bench.circuit, bench_opts(bench, spec.input_rise_time));
+    testutil::full_device(run_transient_ex(
+        bench.circuit, bench_opts(bench, spec.input_rise_time)));
   }
   const auto sites = unsigned(
       injector.query_count(FaultKind::kFactorBitFlip));
@@ -436,7 +443,7 @@ TEST_F(FaultInjection, ExhaustedLadderDegradesToAnalyticRung) {
   const SsnBenchSpec spec = small_spec();
   const core::SsnScenario scenario = analysis::make_scenario(
       cal(), spec.package, spec.n_drivers, spec.input_rise_time, true);
-  const auto m = analysis::measure_ssn_resilient(spec, {}, {}, &scenario);
+  const auto m = analysis::measure_ssn(spec, {}, &scenario);
 
   ASSERT_TRUE(m.ok());
   EXPECT_EQ(m.fidelity, Fidelity::kAnalytic);
@@ -444,6 +451,21 @@ TEST_F(FaultInjection, ExhaustedLadderDegradesToAnalyticRung) {
   EXPECT_TRUE(m.error->diagnostics().injected);
   EXPECT_DOUBLE_EQ(m.measurement.v_max,
                    analysis::analytic_measurement(scenario).v_max);
+}
+
+TEST_F(FaultInjection, EstimateVerifyReportsTheAnalyticRung) {
+  SSN_NEEDS_INSTRUMENTED_BUILD();
+  // Every simulation rung fails: `estimate --verify` takes the analytic
+  // rung, as a serve sim estimate does, and prints the fidelity it reached.
+  FaultPlan plan;
+  plan.probability = 1.0;
+  FaultInjector::instance().arm(FaultKind::kStepUnderflow, plan);
+  std::ostringstream out, err;
+  ASSERT_EQ(cli::run_cli({"estimate", "--n", "4", "--verify"}, out, err), 0)
+      << err.str();
+  EXPECT_NE(out.str().find("simulated max SSN"), std::string::npos);
+  EXPECT_NE(out.str().find("\nfidelity: analytic\n"), std::string::npos)
+      << out.str();
 }
 
 TEST_F(FaultInjection, DcNewtonFaultForcesGminStepping) {
@@ -536,7 +558,6 @@ TEST_F(FaultInjection, MonteCarloSurvivorsMatchUninjectedRun) {
   // variation factors are drawn up front, so failures cannot shift them).
   analysis::SimMonteCarloOptions opts;
   opts.samples = 3;
-  opts.analytic_fallback = false;
   const auto pkg = process::package_pga();
   const auto baseline =
       analysis::monte_carlo_vmax_sim(cal(), pkg, 2, 0.1e-9, true, opts);

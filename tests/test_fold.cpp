@@ -9,6 +9,8 @@
 #include "circuit/testbench.hpp"
 #include "devices/asdm.hpp"
 
+#include "full_device.hpp"
+
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -174,8 +176,8 @@ TEST_P(FoldOracle, FoldedBenchMatchesPerDriverCircuit) {
         SsnBench folded = circuit::make_ssn_testbench(spec);
         SsnBench oracle = build_per_driver(spec);
         ASSERT_DOUBLE_EQ(folded.t_ramp_end, oracle.t_ramp_end);
-        const auto mf = analysis::measure_ssn(folded);
-        const auto mo = analysis::measure_ssn(oracle);
+        const auto mf = testutil::full_device(analysis::measure_ssn(folded));
+        const auto mo = testutil::full_device(analysis::measure_ssn(oracle));
         ASSERT_GT(mo.v_max, 0.0);
         EXPECT_LE(std::fabs(mf.v_max - mo.v_max) / mo.v_max, 1e-6)
             << "folded " << mf.v_max << " vs per-driver " << mo.v_max;
@@ -211,8 +213,8 @@ TEST(Fold, SplitStepSequenceStaysWithinSolverAccuracy) {
                                         with_c, Variant::kStaggerBy4);
     SsnBench folded = circuit::make_ssn_testbench(spec);
     SsnBench oracle = build_per_driver(spec);
-    const auto mf = analysis::measure_ssn(folded);
-    const auto mo = analysis::measure_ssn(oracle);
+    const auto mf = testutil::full_device(analysis::measure_ssn(folded));
+    const auto mo = testutil::full_device(analysis::measure_ssn(oracle));
     ASSERT_GT(mo.v_max, 0.0);
     EXPECT_LE(std::fabs(mf.v_max - mo.v_max) / mo.v_max, 1e-3);
     EXPECT_LE(std::fabs(mf.t_at_max - mo.t_at_max), oracle.t_ramp_end / 50.0);

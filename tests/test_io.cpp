@@ -1,7 +1,6 @@
-// Output helpers: CSV, text tables, ASCII charts, gnuplot scripts.
+// Output helpers: CSV, text tables, ASCII charts.
 #include "io/ascii_chart.hpp"
 #include "io/csv.hpp"
-#include "io/gnuplot.hpp"
 #include "io/table.hpp"
 #include "waveform/render.hpp"
 
@@ -14,7 +13,6 @@ namespace {
 using namespace ssnkit::io;
 using ssnkit::waveform::Waveform;
 using ssnkit::waveform::ascii_chart;
-using ssnkit::waveform::write_gnuplot_script;
 using ssnkit::waveform::write_waveforms_csv;
 
 TEST(Csv, HeaderAndRows) {
@@ -93,27 +91,6 @@ TEST(AsciiChart, XyChartAndValidation) {
   EXPECT_THROW(ascii_xy_chart(x, {{0.1}}, {"bad"}), std::invalid_argument);
   EXPECT_THROW(ascii_chart(std::vector<const Waveform*>{}, std::vector<std::string>{}),
                std::invalid_argument);
-}
-
-TEST(Gnuplot, ScriptContainsDataAndTitles) {
-  const Waveform w({0.0, 1.0}, {0.0, 2.0});
-  std::ostringstream os;
-  GnuplotOptions opts;
-  opts.title = "ssn";
-  write_gnuplot_script(os, {&w}, {"vssi"}, opts);
-  const std::string s = os.str();
-  EXPECT_NE(s.find("set title 'ssn'"), std::string::npos);
-  EXPECT_NE(s.find("with lines title 'vssi'"), std::string::npos);
-  EXPECT_NE(s.find("\ne\n"), std::string::npos);
-}
-
-TEST(Gnuplot, XyScript) {
-  std::ostringstream os;
-  write_gnuplot_xy_script(os, {1.0, 2.0}, {{0.1, 0.2}}, {"vmax"});
-  EXPECT_NE(os.str().find("linespoints"), std::string::npos);
-  EXPECT_THROW(
-      write_gnuplot_xy_script(os, {1.0}, {{0.1, 0.2}}, {"bad"}),
-      std::invalid_argument);
 }
 
 }  // namespace

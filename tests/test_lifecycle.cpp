@@ -3,8 +3,8 @@
 // journal, and — the layer's central promise — that a batch interrupted at
 // an arbitrary point and resumed from its journal produces bit-identical
 // results to an uninterrupted run, at any thread count.
+#include "analysis/measure.hpp"
 #include "analysis/montecarlo.hpp"
-#include "analysis/resilience.hpp"
 #include "analysis/sweeps.hpp"
 #include "cli/commands.hpp"
 #include "support/atomic_file.hpp"
@@ -263,10 +263,12 @@ TEST(Lifecycle, StoppedSampleIsNotDegradedToAnalytic) {
   scenario.vdd = 1.8;
   scenario.slope = 1.8e10;
   scenario.device = {.k = 5.3e-3, .lambda = 1.17, .vx = 0.56};
-  const auto rm = analysis::measure_ssn_resilient(spec, mopts, {}, &scenario);
+  const auto rm = analysis::measure_ssn(spec, mopts, &scenario);
   EXPECT_EQ(rm.fidelity, sim::Fidelity::kFailed);
   ASSERT_TRUE(rm.error.has_value());
   EXPECT_EQ(rm.error->kind(), support::SolverErrorKind::kCancelled);
+  // A stop is not retryable: the ladder ends after its first rung.
+  EXPECT_EQ(rm.attempts.size(), 1u);
 }
 
 // --- journal primitives -----------------------------------------------------

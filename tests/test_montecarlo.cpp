@@ -159,9 +159,6 @@ TEST(SimMonteCarlo, ForcedFailuresDegradeToAnalytic) {
   SimMonteCarloOptions opts;
   opts.samples = 3;
   opts.batch.transient.max_steps = 1;
-  opts.batch.recovery.try_tighten_damping = false;
-  opts.batch.recovery.try_gmin_recovery = false;
-  opts.batch.recovery.try_reduced_timestep = false;
   const auto pkg = process::package_pga();
   const auto result = monte_carlo_vmax_sim(cal(), pkg, 2, 0.1e-9, true, opts);
   EXPECT_EQ(result.surviving, 3u);
@@ -170,22 +167,6 @@ TEST(SimMonteCarlo, ForcedFailuresDegradeToAnalytic) {
   EXPECT_GT(result.mean, 0.0);
   for (const auto& s : result.samples)
     EXPECT_EQ(s.fidelity, sim::Fidelity::kAnalytic);
-}
-
-TEST(SimMonteCarlo, ForcedFailuresWithoutFallbackAreDropped) {
-  SimMonteCarloOptions opts;
-  opts.samples = 3;
-  opts.analytic_fallback = false;
-  opts.batch.transient.max_steps = 1;
-  opts.batch.recovery.enabled = false;
-  const auto pkg = process::package_pga();
-  const auto result = monte_carlo_vmax_sim(cal(), pkg, 2, 0.1e-9, true, opts);
-  EXPECT_EQ(result.samples.size(), 3u);  // drawn factors are still reported
-  EXPECT_EQ(result.surviving, 0u);
-  EXPECT_EQ(result.summary.failed, 3u);
-  EXPECT_DOUBLE_EQ(result.mean, 0.0);
-  for (const auto& s : result.samples)
-    EXPECT_EQ(s.fidelity, sim::Fidelity::kFailed);
 }
 
 TEST(SimMonteCarlo, OptionValidation) {

@@ -14,14 +14,15 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <type_traits>
+#include <utility>
 
 namespace {
 
 using ssnkit::circuit::Circuit;
-using ssnkit::circuit::parse_netlist;
 using ssnkit::circuit::parse_netlist_ex;
-using ssnkit::circuit::parse_spice_number;
 using ssnkit::circuit::parse_spice_number_ex;
 using ssnkit::circuit::ParseOptions;
 using ssnkit::io::Diagnostic;
@@ -99,15 +100,14 @@ TEST(Hardening, CaretExcerptUnderlinesTheToken) {
 }
 
 TEST(Hardening, ThrowingWrapperStaysInvalidArgumentCompatible) {
-  try {
-    parse_netlist("R1 a 0 1k\nC1 a 0 oops\nQ9 x\n");
-    FAIL() << "expected ParseError";
-  } catch (const ParseError& e) {
-    EXPECT_GE(e.diagnostics().size(), 2u);
-    EXPECT_NE(std::string(e.what()).find("error"), std::string::npos);
-  }
-  // And the same throw is catchable as std::invalid_argument (legacy sites).
-  EXPECT_THROW(parse_netlist("R1 a 0 1k\nQ9 x\n"), std::invalid_argument);
+  const auto result = parse_netlist_ex("R1 a 0 1k\nC1 a 0 oops\nQ9 x\n");
+  EXPECT_FALSE(result.ok);
+  // The ParseError the CLI throws for a rejected netlist carries every
+  // diagnostic and stays catchable as std::invalid_argument.
+  static_assert(std::is_base_of_v<std::invalid_argument, ParseError>);
+  const ParseError e(result.diagnostics);
+  EXPECT_GE(e.diagnostics().size(), 2u);
+  EXPECT_NE(std::string(e.what()).find("error"), std::string::npos);
 }
 
 TEST(Hardening, KCardSelfCouplingIsDiagnosed) {
@@ -204,18 +204,21 @@ TEST(Hardening, SpiceNumberRejectsNonDecimalForms) {
   for (const char* bad : {"inf", "INF", "-inf", "nan", "NAN", "0x10", "0x1p3",
                           "1e999", "-1e999", "", "+", "-", ".", "e3", "1e",
                           " 1.5", "1..5"}) {
-    EXPECT_THROW(parse_spice_number(bad), std::invalid_argument) << bad;
-    EXPECT_FALSE(parse_spice_number_ex(bad).ok) << bad;
+    const auto p = parse_spice_number_ex(bad);
+    EXPECT_FALSE(p.ok) << bad;
+    EXPECT_FALSE(p.error.empty()) << bad;
   }
 }
 
 TEST(Hardening, SpiceNumberStillAcceptsTheSpiceDialect) {
-  EXPECT_DOUBLE_EQ(parse_spice_number("1.5k"), 1500.0);
-  EXPECT_DOUBLE_EQ(parse_spice_number("2MEG"), 2e6);
-  EXPECT_DOUBLE_EQ(parse_spice_number("10pF"), 1e-11);
-  EXPECT_DOUBLE_EQ(parse_spice_number("-3e-9"), -3e-9);
-  EXPECT_DOUBLE_EQ(parse_spice_number("+.5e+2"), 50.0);
-  EXPECT_DOUBLE_EQ(parse_spice_number("3.3V"), 3.3);
+  const std::pair<const char*, double> cases[] = {
+      {"1.5k", 1500.0}, {"2MEG", 2e6},     {"10pF", 1e-11},
+      {"-3e-9", -3e-9}, {"+.5e+2", 50.0}, {"3.3V", 3.3}};
+  for (const auto& [token, value] : cases) {
+    const auto p = parse_spice_number_ex(token);
+    ASSERT_TRUE(p.ok) << token << ": " << p.error;
+    EXPECT_DOUBLE_EQ(p.value, value) << token;
+  }
 }
 
 TEST(Hardening, OutOfRangeIsDiagnosedNotLeaked) {

@@ -1,6 +1,6 @@
 // Reference ODE integrators and the Levenberg–Marquardt fitter.
 #include "numeric/levenberg_marquardt.hpp"
-#include "numeric/ode.hpp"
+#include "reference/ode.hpp"
 
 #include <gtest/gtest.h>
 

@@ -2,7 +2,7 @@
 // paper's [0, t_r] window): continuity, agreement with RK45 over the full
 // horizon, and the fast-edge case where the true peak lies after t_r.
 #include "core/lc_model.hpp"
-#include "numeric/ode.hpp"
+#include "reference/ode.hpp"
 
 #include <gtest/gtest.h>
 

@@ -4,9 +4,11 @@
 //  * AC steady state against transient sine response (cross-engine check).
 #include "core/l_only_model.hpp"
 #include "core/lc_model.hpp"
-#include "numeric/ode.hpp"
+#include "reference/ode.hpp"
 #include "sim/ac.hpp"
 #include "sim/engine.hpp"
+
+#include "full_device.hpp"
 
 #include <gtest/gtest.h>
 
@@ -137,7 +139,8 @@ TEST_P(AcVsTransient, RcSineSteadyStateAmplitudeAgrees) {
   topts.t_stop = 12.0 / freq;  // several periods to settle
   topts.dt_max = 1.0 / (freq * 200.0);
   topts.lte_reltol = 1e-5;
-  const auto tr = ssnkit::sim::run_transient(tr_ckt, topts);
+  const auto tr =
+      testutil::full_device(ssnkit::sim::run_transient_ex(tr_ckt, topts));
   const auto wave = tr.waveform("out");
   // Amplitude over the last two periods.
   const auto tail = wave.windowed(10.0 / freq, 12.0 / freq);

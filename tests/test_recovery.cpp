@@ -1,10 +1,10 @@
 // The recovery ladder (sim/recovery.hpp) and its analysis-layer end
-// (analysis/resilience.hpp): healthy runs stay at full fidelity, hopeless
+// (analysis::measure_ssn): healthy runs stay at full fidelity, hopeless
 // circuits walk every rung and surface a typed error, and the analytic rung
 // degrades to the paper's closed forms instead of losing the sample.
+#include "analysis/batch.hpp"
 #include "analysis/calibrate.hpp"
 #include "analysis/measure.hpp"
-#include "analysis/resilience.hpp"
 #include "analysis/sweeps.hpp"
 #include "circuit/circuit.hpp"
 #include "circuit/testbench.hpp"
@@ -83,53 +83,6 @@ TEST(RecoveryLadder, HopelessCircuitWalksEveryRung) {
   EXPECT_EQ(out.error->diagnostics().recovery_trail.size(), 5u);
 }
 
-TEST(RecoveryLadder, DisabledPolicyStopsAfterFirstAttempt) {
-  Circuit ckt;
-  const NodeId a = ckt.node("a");
-  const NodeId b = ckt.node("b");
-  ckt.add_vsource("V1", a, kGround, Dc{1.0});
-  ckt.add_capacitor("C1", b, kGround, 1e-12);
-  TransientOptions opts;
-  opts.t_stop = 1e-9;
-  RecoveryPolicy policy;
-  policy.enabled = false;
-  const RecoveryOutcome out = run_transient_resilient(ckt, opts, policy);
-  ASSERT_FALSE(out.ok());
-  EXPECT_EQ(out.fidelity, Fidelity::kFailed);
-  EXPECT_EQ(out.attempts.size(), 1u);
-}
-
-TEST(RecoveryLadder, RungSelectionIsHonored) {
-  Circuit ckt;
-  const NodeId a = ckt.node("a");
-  const NodeId b = ckt.node("b");
-  ckt.add_vsource("V1", a, kGround, Dc{1.0});
-  ckt.add_capacitor("C1", b, kGround, 1e-12);
-  TransientOptions opts;
-  opts.t_stop = 1e-9;
-  RecoveryPolicy policy;
-  policy.try_tighten_damping = false;
-  policy.try_gmin_recovery = false;
-  const RecoveryOutcome out = run_transient_resilient(ckt, opts, policy);
-  ASSERT_EQ(out.attempts.size(), 3u);
-  EXPECT_EQ(out.attempts[0].rung, "full-device");
-  EXPECT_EQ(out.attempts[1].rung, "alternate-integrator");
-  EXPECT_EQ(out.attempts[2].rung, "reduced-timestep");
-}
-
-TEST(MeasureResilient, HealthyBenchMatchesMeasureSsn) {
-  SsnBenchSpec spec;
-  spec.n_drivers = 4;
-  analysis::MeasureOptions mopts;
-  mopts.transient.dt_max = spec.input_rise_time / 200.0;
-  const auto plain = analysis::measure_ssn(spec, mopts);
-  const auto resilient = analysis::measure_ssn_resilient(spec, mopts);
-  ASSERT_TRUE(resilient.ok());
-  EXPECT_EQ(resilient.fidelity, Fidelity::kFullDevice);
-  EXPECT_DOUBLE_EQ(resilient.measurement.v_max, plain.v_max);
-  EXPECT_DOUBLE_EQ(resilient.measurement.t_at_max, plain.t_at_max);
-}
-
 TEST(AnalyticMeasurement, MatchesClosedFormModels) {
   const auto& c = cal();
   const auto pkg = process::package_pga();
@@ -157,8 +110,7 @@ TEST(MeasureResilient, ForcedFailureDegradesToAnalytic) {
   const core::SsnScenario scenario = analysis::make_scenario(
       cal(), spec.package, spec.n_drivers, spec.input_rise_time, true);
 
-  const auto degraded =
-      analysis::measure_ssn_resilient(spec, mopts, {}, &scenario);
+  const auto degraded = analysis::measure_ssn(spec, mopts, &scenario);
   ASSERT_TRUE(degraded.ok());
   EXPECT_TRUE(degraded.degraded());
   EXPECT_EQ(degraded.fidelity, Fidelity::kAnalytic);
@@ -169,7 +121,7 @@ TEST(MeasureResilient, ForcedFailureDegradesToAnalytic) {
   EXPECT_DOUBLE_EQ(degraded.measurement.v_max,
                    analysis::analytic_measurement(scenario).v_max);
 
-  const auto failed = analysis::measure_ssn_resilient(spec, mopts, {});
+  const auto failed = analysis::measure_ssn(spec, mopts);
   EXPECT_FALSE(failed.ok());
   EXPECT_EQ(failed.fidelity, Fidelity::kFailed);
   ASSERT_TRUE(failed.error.has_value());
@@ -231,10 +183,6 @@ TEST(ResilientSweep, FailingPointIsSkippedNotFatal) {
   analysis::DriverSweepConfig config;
   config.driver_counts = {1, 2};
   config.batch.transient.max_steps = 1;
-  // Bound the retry cost: the ladder outcome is identical on every rung.
-  config.batch.recovery.try_tighten_damping = false;
-  config.batch.recovery.try_gmin_recovery = false;
-  config.batch.recovery.try_reduced_timestep = false;
   const auto result = analysis::run_driver_sweep(config);
   EXPECT_TRUE(result.rows.empty());
   EXPECT_EQ(result.summary.total, 2u);

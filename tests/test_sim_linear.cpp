@@ -3,6 +3,8 @@
 #include "circuit/circuit.hpp"
 #include "sim/engine.hpp"
 
+#include "full_device.hpp"
+
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -93,7 +95,8 @@ TEST_P(RcChargeTest, MatchesAnalytic) {
   opts.t_stop = 5e-9;
   opts.method = GetParam();
   opts.lte_reltol = 1e-5;
-  const TransientResult result = run_transient(ckt, opts);
+  const TransientResult result =
+      testutil::full_device(run_transient_ex(ckt, opts));
   const Waveform v = result.waveform("out");
   for (double t : {0.5e-9, 1e-9, 2e-9, 4e-9}) {
     const double expected = 1.0 - std::exp(-t / 1e-9);
@@ -127,7 +130,8 @@ TEST(Transient, RlCurrentRise) {
   TransientOptions opts;
   opts.t_stop = 5e-9;
   opts.lte_reltol = 1e-5;
-  const TransientResult result = run_transient(ckt, opts);
+  const TransientResult result =
+      testutil::full_device(run_transient_ex(ckt, opts));
   const Waveform i = result.waveform("I(L1)");
   for (double t : {1e-9, 3e-9}) {
     const double expected = 0.1 * (1.0 - std::exp(-t / 1e-9));
@@ -151,7 +155,8 @@ TEST(Transient, SeriesRlcUnderdampedRings) {
   TransientOptions opts;
   opts.t_stop = 3e-9;
   opts.lte_reltol = 1e-5;
-  const TransientResult result = run_transient(ckt, opts);
+  const TransientResult result =
+      testutil::full_device(run_transient_ex(ckt, opts));
   const Waveform v = result.waveform("out");
 
   const double omega0 = 1.0 / std::sqrt(5e-9 * 1e-12);
@@ -177,7 +182,8 @@ TEST(Transient, ParallelRlcDecay) {
 
   TransientOptions opts;
   opts.t_stop = 50e-9;
-  const TransientResult result = run_transient(ckt, opts);
+  const TransientResult result =
+      testutil::full_device(run_transient_ex(ckt, opts));
   // At steady state the inductor shorts node a to R2: v = 1mA * (50||1050)...
   // Actually L in series with R2 forms a DC path: v = 1mA * (50 || 1000).
   const double r_eff = 1.0 / (1.0 / 50.0 + 1.0 / 1e3);
@@ -193,7 +199,8 @@ TEST(Transient, RampBreakpointIsHit) {
   ckt.add_resistor("R1", in, kGround, 1e3);
   TransientOptions opts;
   opts.t_stop = 2e-9;
-  const TransientResult result = run_transient(ckt, opts);
+  const TransientResult result =
+      testutil::full_device(run_transient_ex(ckt, opts));
   const Waveform v = result.waveform("in");
   EXPECT_NEAR(v.sample(1e-9), 0.0, 1e-9);
   EXPECT_NEAR(v.sample(1.05e-9), 0.9, 2e-2);
@@ -217,7 +224,8 @@ TEST(Transient, UicHonorsInitialConditions) {
   TransientOptions opts;
   opts.t_stop = 3e-9;
   opts.use_ic = true;
-  const TransientResult result = run_transient(ckt, opts);
+  const TransientResult result =
+      testutil::full_device(run_transient_ex(ckt, opts));
   const Waveform v = result.waveform("a");
   EXPECT_NEAR(v.sample(1e-9), 2.0 * std::exp(-1.0), 2e-2);
 }
@@ -235,7 +243,8 @@ TEST(Transient, TrapezoidalBeatsBackwardEulerOnAccuracy) {
     opts.adaptive = false;        // fixed 5 ps steps
     opts.dt_initial = 5e-12;
     opts.method = method;
-    const TransientResult result = run_transient(ckt, opts);
+    const TransientResult result =
+        testutil::full_device(run_transient_ex(ckt, opts));
     const Waveform v = result.waveform("out");
     double err = 0.0;
     for (double t = 0.2e-9; t < 5e-9; t += 0.2e-9)
@@ -256,7 +265,8 @@ TEST(Transient, StatsArepopulated) {
   ckt.add_resistor("R1", a, kGround, 1e3);
   TransientOptions opts;
   opts.t_stop = 1e-9;
-  const TransientResult result = run_transient(ckt, opts);
+  const TransientResult result =
+      testutil::full_device(run_transient_ex(ckt, opts));
   EXPECT_GT(result.stats.accepted_steps, 0u);
   EXPECT_GT(result.stats.newton_iterations, 0u);
   EXPECT_GT(result.point_count(), 1u);
@@ -271,7 +281,7 @@ TEST(Transient, BadWindowThrows) {
   ckt.add_resistor("R1", ckt.node("a"), kGround, 1e3);
   TransientOptions opts;
   opts.t_stop = 0.0;
-  EXPECT_THROW(run_transient(ckt, opts), std::invalid_argument);
+  EXPECT_THROW(run_transient_ex(ckt, opts), std::invalid_argument);
 }
 
 }  // namespace

@@ -7,6 +7,8 @@
 #include "process/technology.hpp"
 #include "sim/engine.hpp"
 
+#include "full_device.hpp"
+
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -99,7 +101,8 @@ TEST(InverterTransient, OutputFallsOnInputRise) {
 
   TransientOptions opts;
   opts.t_stop = 2e-9;
-  const TransientResult result = run_transient(ckt, opts);
+  const TransientResult result =
+      testutil::full_device(run_transient_ex(ckt, opts));
   EXPECT_NEAR(result.waveform("out").sample(0.0), 1.8, 0.02);
   EXPECT_NEAR(result.final_value("out"), 0.0, 0.02);
 }
@@ -120,7 +123,7 @@ TEST(SsnBench, GroundBounceAppearsAndDecays) {
   spec.input_rise_time = 0.1e-9;
   analysis::MeasureOptions mopts;
   mopts.overshoot_factor = 3.0;
-  const auto m = analysis::measure_ssn(spec, mopts);
+  const auto m = testutil::full_device(analysis::measure_ssn(spec, mopts));
   // A healthy bounce: hundreds of mV but below the rail.
   EXPECT_GT(m.v_max, 0.2);
   EXPECT_LT(m.v_max, spec.tech.vdd);
@@ -137,7 +140,7 @@ TEST(SsnBench, BounceGrowsWithDriverCount) {
   for (int n : {2, 4, 8}) {
     SsnBenchSpec spec;
     spec.n_drivers = n;
-    const auto m = analysis::measure_ssn(spec);
+    const auto m = testutil::full_device(analysis::measure_ssn(spec));
     EXPECT_GT(m.v_max, prev) << n;
     prev = m.v_max;
   }
@@ -151,7 +154,7 @@ TEST(SsnBench, AsdmOverrideDeviceRuns) {
   spec.include_pullup = false;
   spec.pulldown_override = std::make_shared<devices::AsdmModel>(
       devices::AsdmParams{.k = 6e-3, .lambda = 1.25, .vx = 0.6});
-  const auto m = analysis::measure_ssn(spec);
+  const auto m = testutil::full_device(analysis::measure_ssn(spec));
   EXPECT_GT(m.v_max, 0.1);
   EXPECT_LT(m.v_max, spec.tech.vdd);
 }
@@ -159,10 +162,12 @@ TEST(SsnBench, AsdmOverrideDeviceRuns) {
 TEST(SsnBench, QuietDriversBarelyChangeBounce) {
   SsnBenchSpec base;
   base.n_drivers = 4;
-  const double v_base = analysis::measure_ssn(base).v_max;
+  const double v_base =
+      testutil::full_device(analysis::measure_ssn(base)).v_max;
   SsnBenchSpec with_quiet = base;
   with_quiet.n_quiet = 4;
-  const double v_quiet = analysis::measure_ssn(with_quiet).v_max;
+  const double v_quiet =
+      testutil::full_device(analysis::measure_ssn(with_quiet)).v_max;
   EXPECT_NEAR(v_quiet, v_base, 0.1 * v_base);
 }
 
@@ -170,11 +175,13 @@ TEST(SsnBench, StaggerReducesPeak) {
   SsnBenchSpec together;
   together.n_drivers = 4;
   together.input_rise_time = 0.1e-9;
-  const double v_together = analysis::measure_ssn(together).v_max;
+  const double v_together =
+      testutil::full_device(analysis::measure_ssn(together)).v_max;
 
   SsnBenchSpec spread = together;
   spread.stagger = {0.0, 100e-12, 200e-12, 300e-12};
-  const double v_spread = analysis::measure_ssn(spread).v_max;
+  const double v_spread =
+      testutil::full_device(analysis::measure_ssn(spread)).v_max;
   EXPECT_LT(v_spread, v_together);
 }
 
@@ -182,10 +189,10 @@ TEST(SsnBench, PackageRIsNegligible) {
   // The paper neglects the 10 mOhm resistance; quantify that this is fair.
   SsnBenchSpec no_r;
   no_r.n_drivers = 8;
-  const double v0 = analysis::measure_ssn(no_r).v_max;
+  const double v0 = testutil::full_device(analysis::measure_ssn(no_r)).v_max;
   SsnBenchSpec with_r = no_r;
   with_r.include_package_r = true;
-  const double v1 = analysis::measure_ssn(with_r).v_max;
+  const double v1 = testutil::full_device(analysis::measure_ssn(with_r)).v_max;
   EXPECT_NEAR(v1, v0, 0.01 * v0);
 }
 

@@ -113,6 +113,19 @@ TEST(SsnlintL003, GuardedSolverIsClean) {
                        "SSN-L003"), 0);
 }
 
+TEST(SsnlintL003, FlagsUnguardedTransientEntry) {
+  // The engine's one transient entry is run_transient_ex.
+  EXPECT_EQ(count_rule(lint("TransientRun run_transient_ex(Circuit& c, const O& o) {\n"
+                            "  return step_all(c, o);\n"
+                            "}\n"),
+                       "SSN-L003"), 1);
+  EXPECT_EQ(count_rule(lint("TransientRun run_transient_ex(Circuit& c, const O& o) {\n"
+                            "  SSN_REQUIRE(o.t_stop > o.t_start, \"span\");\n"
+                            "  return step_all(c, o);\n"
+                            "}\n"),
+                       "SSN-L003"), 0);
+}
+
 TEST(SsnlintL003, PrototypesAndCallsAreNotDefinitions) {
   EXPECT_EQ(count_rule(lint("Vector solve_system(const Matrix&, const Vector&);\n"),
                        "SSN-L003"), 0);
@@ -491,6 +504,12 @@ TEST(SsnlintL013, FlagsChainedTemporaryAccess) {
                      "  r.v = analysis::monte_carlo_vmax(s).mean;\n"
                      "}\n"),
                 "SSN-L013"), 1);
+  // A failed transient still carries its partial waveform in .result.
+  EXPECT_EQ(count_rule(
+                lint("double f(Circuit& c, const O& o) {\n"
+                     "  return sim::run_transient_ex(c, o).result.final_value(\"v\");\n"
+                     "}\n"),
+                "SSN-L013"), 1);
 }
 
 TEST(SsnlintL013, FlagsNamedResultWithOnlyValueReads) {
@@ -520,14 +539,29 @@ TEST(SsnlintL013, StatusInspectionAnywhereOnTheChainIsClean) {
   // The status member may sit deeper in the chain (.measurement.trust).
   EXPECT_EQ(count_rule(
                 lint("double f(int s) {\n"
-                     "  const auto m = measure_ssn_resilient(s);\n"
+                     "  const auto m = measure_ssn(s);\n"
                      "  log(m.measurement.trust.verdict);\n"
                      "  return m.measurement.v_max;\n"
                      "}\n"),
                 "SSN-L013"), 0);
   // A chained temporary whose member IS the status check is fine.
   EXPECT_EQ(count_rule(
-                lint("bool f(int s) { return measure_ssn_resilient(s).ok(); }\n"),
+                lint("bool f(int s) { return measure_ssn(s).ok(); }\n"),
+                "SSN-L013"), 0);
+  // degraded() is the fidelity check.
+  EXPECT_EQ(count_rule(
+                lint("double f(int s) {\n"
+                     "  const auto m = measure_ssn(s);\n"
+                     "  if (m.degraded()) return 0.0;\n"
+                     "  return m.measurement.v_max;\n"
+                     "}\n"),
+                "SSN-L013"), 0);
+  EXPECT_EQ(count_rule(
+                lint("double f(Circuit& c, const O& o) {\n"
+                     "  const auto run = run_transient_ex(c, o);\n"
+                     "  if (!run.ok()) return 0.0;\n"
+                     "  return run.result.final_value(\"v\");\n"
+                     "}\n"),
                 "SSN-L013"), 0);
 }
 

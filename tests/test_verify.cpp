@@ -15,6 +15,8 @@
 #include "verify/residual.hpp"
 #include "verify/trust.hpp"
 
+#include "full_device.hpp"
+
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -216,7 +218,8 @@ analysis::SsnMeasurement healthy_measurement(core::SsnScenario& scenario_out) {
   spec.n_drivers = 4;
   spec.input_rise_time = 0.1e-9;
   spec.include_package_c = true;
-  analysis::SsnMeasurement m = analysis::measure_ssn(spec);
+  analysis::SsnMeasurement m =
+      testutil::full_device(analysis::measure_ssn(spec));
   scenario_out = analysis::make_scenario(cal(), spec.package, spec.n_drivers,
                                          spec.input_rise_time, true);
   return m;

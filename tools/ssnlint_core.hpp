@@ -33,7 +33,7 @@
 //             whose body never consults the lifecycle layer
 //             (stop_requested/try_start_item/RunContext) — such a loop can
 //             not be cancelled or deadlined cooperatively
-//   SSN-L013  a solver/analysis result (run_transient, measure_ssn,
+//   SSN-L013  a solver/analysis result (run_transient_ex, measure_ssn,
 //             monte_carlo_vmax, ...) consumed without ever inspecting its
 //             status or TrustReport (ok()/error/stop/trust/...): reading
 //             v_max off a result whose verdict was never looked at is
@@ -582,7 +582,7 @@ inline bool is_solver_entry_name(const std::string& name) {
   if (name.rfind("solve", 0) == 0) return true;
   static const std::set<std::string> kExact = {
       "rk4",      "rk45",   "levenberg_marquardt", "dc_operating_point",
-      "lu_solve", "run_dc", "run_transient",       "run_ac"};
+      "lu_solve", "run_dc", "run_transient_ex",    "run_ac"};
   return kExact.count(name) > 0;
 }
 
@@ -985,17 +985,16 @@ inline void rule_process_hygiene(const std::vector<Token>& toks,
 //       argument, return, copy) delegates the obligation and is accepted.
 inline bool is_result_producer(const std::string& name) {
   static const std::set<std::string> kProducers = {
-      "run_transient", "run_transient_resilient", "measure_ssn",
-      "measure_ssn_resilient", "monte_carlo_vmax", "monte_carlo_vmax_sim",
-      "run_batch", "run_driver_sweep", "run_capacitance_sweep",
-      "run_slope_sweep"};
+      "run_transient_ex", "run_transient_resilient", "measure_ssn",
+      "monte_carlo_vmax", "monte_carlo_vmax_sim",    "run_batch",
+      "run_driver_sweep", "run_capacitance_sweep"};
   return kProducers.count(name) != 0;
 }
 
 inline bool is_status_member(const std::string& name) {
   static const std::set<std::string> kInspect = {
-      "ok",      "error", "error_kind", "trust",      "verdict", "stop",
-      "status",  "summary", "fidelity", "resilience", "stats"};
+      "ok",      "error",   "error_kind", "trust",      "verdict", "stop",
+      "status",  "summary", "fidelity",   "degraded", "resilience", "stats"};
   return kInspect.count(name) != 0;
 }
 
@@ -1030,7 +1029,8 @@ inline void rule_uninspected_result(const std::vector<Token>& toks,
     if (close + 1 >= toks.size()) continue;
     // Definitions and prototypes are the producer itself, not a consumption
     // site: the producer token is preceded by its return type
-    // (`SsnMeasurement measure_ssn(...)`) or directly followed by its body.
+    // (`ResilientMeasurement measure_ssn(...)`) or directly followed by its
+    // body.
     const std::string& after = toks[close + 1].text;
     if (after == "{" || after == "const" || after == "noexcept") continue;
     if (i > 0 && toks[i - 1].kind == Token::Kind::kIdent &&
