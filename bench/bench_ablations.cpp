@@ -68,6 +68,12 @@ int main() {
       double ids(double vgs, double vds, double) const override {
         return inner_.ids(vgs, vds, 0.0);
       }
+      devices::MosfetEval evaluate(double vgs, double vds,
+                                   double) const override {
+        devices::MosfetEval e = inner_.evaluate(vgs, vds, 0.0);
+        e.gmb = 0.0;
+        return e;
+      }
       std::unique_ptr<devices::MosfetModel> clone() const override {
         return std::make_unique<BulkFollowsSource>(inner_);
       }

@@ -10,6 +10,7 @@
 #include "core/baselines.hpp"
 #include "core/l_only_model.hpp"
 #include "core/lc_model.hpp"
+#include "circuit/circuit.hpp"
 #include "circuit/mna.hpp"
 #include "circuit/testbench.hpp"
 #include "devices/fit.hpp"
@@ -256,6 +257,47 @@ BENCHMARK(BM_McSimBatch)
     ->Args({8, 1})
     ->Args({8, 4})
     ->Unit(benchmark::kMillisecond);
+
+// One MOSFET stamp: a single model evaluation, the terminal reflection and
+// eight Jacobian entries into a 4x4 system. Args: golden (0 alpha-power,
+// 1 BSIM-lite) and bias (0 NMOS forward, 1 PMOS), both in saturation with
+// a reverse-biased bulk.
+void BM_MosfetStamp(benchmark::State& state) {
+  const auto golden = state.range(0) == 0 ? process::GoldenKind::kAlphaPower
+                                          : process::GoldenKind::kBsimLite;
+  const bool pmos = state.range(1) == 1;
+  circuit::Circuit ckt;
+  const circuit::NodeId d = ckt.node("d");
+  const circuit::NodeId g = ckt.node("g");
+  const circuit::NodeId s = ckt.node("s");
+  const circuit::NodeId b = ckt.node("b");
+  auto& m = ckt.add_mosfet(
+      "M1", d, g, s, b,
+      std::shared_ptr<const devices::MosfetModel>(
+          process::tech_180nm().make_golden(golden, 48.0)),
+      pmos ? circuit::MosfetPolarity::kPmos : circuit::MosfetPolarity::kNmos);
+  const std::size_t n = std::size_t(ckt.finalize());
+  numeric::Matrix a(n, n);
+  numeric::Vector rhs(n);
+  numeric::Vector x = pmos ? numeric::Vector{0.4, 0.3, 1.6, 1.8}
+                           : numeric::Vector{1.4, 1.5, 0.2, 0.0};
+  circuit::StampContext ctx;
+  ctx.mode = circuit::AnalysisMode::kTransient;
+  ctx.a = &a;
+  ctx.b = &rhs;
+  ctx.x = &x;
+  for (auto _ : state) {
+    m.stamp(ctx);
+    benchmark::DoNotOptimize(rhs.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_MosfetStamp)
+    ->Args({0, 0})
+    ->Args({0, 1})
+    ->Args({1, 0})
+    ->Args({1, 1})
+    ->ArgNames({"bsim", "pmos"});
 
 void BM_DcOperatingPoint(benchmark::State& state) {
   const auto cal = analysis::calibrate(process::tech_180nm());

@@ -12,6 +12,7 @@
 # headline comparisons are documented in docs/PERFORMANCE.md:
 #   BM_MnaAssemblyDense vs BM_MnaAssemblySparse  — per-Newton-iteration cost
 #   BM_SsnTransient                              — end-to-end transient solve
+#   BM_MosfetStamp                               — one MOSFET stamp (device eval)
 #   BM_McClosedForm / BM_McSimBatch              — batch runner thread scaling
 set -euo pipefail
 cd "$(dirname "$0")/.."

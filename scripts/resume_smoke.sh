@@ -24,11 +24,11 @@ fi
 WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT
 
-# ~1.3 ms of simulation per sample (identical drivers fold into one): a
-# 2500-sample batch computes for ~3.3 s on a 4-vCPU VM before the journal's
-# per-record fsync adds more, over 10x the 0.3 s before the SIGTERM, so it
-# reliably lands mid-batch (and the comment at the top covers the
-# fast-machine case where it doesn't).
+# ~0.6 ms of simulation per sample (identical drivers fold into one): a
+# 2500-sample batch computes for ~1.4 s on a 4-vCPU VM, and the journal's
+# per-record fsync stretches the journaled run to ~4.7 s, over 10x the
+# 0.3 s before the SIGTERM, so it reliably lands mid-batch (and the comment
+# at the top covers the fast-machine case where it doesn't).
 SAMPLES=2500
 COMMON=(mc --sim --samples "$SAMPLES" --seed 4242)
 

@@ -77,16 +77,16 @@ BENCH_PID=$!
 
 # Deliberately slow requests so the SIGTERM reliably has in-flight work to
 # drain (and, past the 2 s drain deadline, to cancel with SSN-E066): 64
-# pipelined 34-point sweeps of ~1 us edges, 0.1-0.3 s each on a 4-vCPU VM,
-# over 10x the 1 s before the SIGTERM in total. Every edge differs so none
-# is answered from the cache.
+# pipelined 34-point BSIM-lite sweeps of ~1 us edges with a 1 nF pad,
+# 150-230 ms each on a 4-vCPU VM, over 10x the 1 s before the SIGTERM in
+# total. Every edge differs so none is answered from the cache.
 python3 - "$SOCK" > "$WORK/slow.log" 2>&1 <<'EOF' &
 import socket, sys
 K = 64
 s = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
 s.connect(sys.argv[1])
 s.sendall(b"".join(
-    b'{"id":"slow%d","cmd":"sweep-n","max_n":64,"tr":%.6e,"include_c":false}\n'
+    b'{"id":"slow%d","cmd":"sweep-n","max_n":64,"tr":%.6e,"golden":"bsim","c":1e-9}\n'
     % (i, 1e-6 * (1 - 1e-3 * i)) for i in range(K)))
 buf = b""
 while buf.count(b"\n") < K:

@@ -391,37 +391,29 @@ Mosfet::Mosfet(std::string name, NodeId d, NodeId g, NodeId s, NodeId b,
   SSN_REQUIRE(model_ != nullptr, "Mosfet: model must not be null");
 }
 
-double Mosfet::terminal_current(double vd, double vg, double vs, double vb) const {
-  if (polarity_ == MosfetPolarity::kNmos) {
-    if (vd >= vs) return model_->ids(vg - vs, vd - vs, vb - vs);
-    // Reverse operation: drain and source swap roles.
-    return -model_->ids(vg - vd, vs - vd, vb - vd);
-  }
-  // PMOS: mirror every voltage and reuse the NMOS surface.
-  if (vs >= vd) return -model_->ids(vs - vg, vs - vd, vs - vb);
-  return model_->ids(vd - vg, vd - vs, vd - vb);
-}
-
 Mosfet::SmallSignal Mosfet::small_signal(double vd, double vg, double vs,
                                          double vb) const {
-  // Numerical 4-terminal Jacobian. Accuracy only affects Newton's path in
-  // transient mode (the residual uses the exact i0) and is plenty for the
-  // linearized AC stamps.
-  const double h = 1e-6;
+  // The model describes an NMOS in forward operation. A PMOS mirrors every
+  // voltage (p = -1), and reverse operation swaps the drain and source
+  // roles. Each reflection flips the sign of the drain current; by the
+  // chain rule the conductances carry the sign of the role swap alone.
+  const double p = polarity_ == MosfetPolarity::kNmos ? 1.0 : -1.0;
+  const double md = p * vd, mg = p * vg, ms = p * vs, mb = p * vb;
+  const bool forward = md >= ms;
+  const double m_src = forward ? ms : md;
+  const double m_drn = forward ? md : ms;
+  const devices::MosfetEval e =
+      model_->evaluate(mg - m_src, m_drn - m_src, mb - m_src);
+
+  const double swap = forward ? 1.0 : -1.0;
   SmallSignal ss;
-  ss.i0 = terminal_current(vd, vg, vs, vb);
-  ss.gd = (terminal_current(vd + h, vg, vs, vb) -
-           terminal_current(vd - h, vg, vs, vb)) /
-          (2.0 * h);
-  ss.gg = (terminal_current(vd, vg + h, vs, vb) -
-           terminal_current(vd, vg - h, vs, vb)) /
-          (2.0 * h);
-  ss.gs = (terminal_current(vd, vg, vs + h, vb) -
-           terminal_current(vd, vg, vs - h, vb)) /
-          (2.0 * h);
-  ss.gb = (terminal_current(vd, vg, vs, vb + h) -
-           terminal_current(vd, vg, vs, vb - h)) /
-          (2.0 * h);
+  ss.i0 = p * swap * e.ids;
+  ss.gg = swap * e.gm;
+  ss.gb = swap * e.gmb;
+  const double g_drn = swap * e.gds;
+  const double g_src = -swap * (e.gm + e.gds + e.gmb);
+  ss.gd = forward ? g_drn : g_src;
+  ss.gs = forward ? g_src : g_drn;
   return ss;
 }
 
@@ -463,7 +455,7 @@ double Mosfet::drain_current(const numeric::Vector& x, int node_count) const {
   const auto volt = [&](NodeId n) {
     return n == kGround ? 0.0 : x[std::size_t(n - 1)];
   };
-  return terminal_current(volt(d_), volt(g_), volt(s_), volt(b_));
+  return small_signal(volt(d_), volt(g_), volt(s_), volt(b_)).i0;
 }
 
 }  // namespace ssnkit::circuit

@@ -276,10 +276,9 @@ class Mosfet final : public Element {
   double drain_current(const numeric::Vector& x, int node_count) const;
 
  private:
-  /// NMOS-referred current as a function of absolute terminal voltages,
-  /// handling polarity and reverse (vds < 0) operation.
-  double terminal_current(double vd, double vg, double vs, double vb) const;
-  /// Current and the four terminal conductances at a bias point.
+  /// Drain current and the four terminal conductances at a bias point,
+  /// from one model evaluation. Handles polarity and reverse (vds < 0)
+  /// operation.
   struct SmallSignal {
     double i0 = 0.0, gd = 0.0, gg = 0.0, gs = 0.0, gb = 0.0;
   };

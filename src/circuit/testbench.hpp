@@ -80,11 +80,14 @@ struct SsnBench {
 
 SsnBench make_ssn_testbench(const SsnBenchSpec& spec);
 
-/// Names the circuit make_ssn_testbench builds. Batch journals mix it into
-/// their configuration hash, so a journal written for another layout (such
-/// as the per-driver circuit used before drivers were folded, whose V_max
-/// differs in the last digits, typically ~1e-8 relative) is refused instead
-/// of resuming into bits this build would not reproduce.
-inline constexpr char kSsnBenchLayout[] = "folded-drivers";
+/// Names the circuit make_ssn_testbench builds and how its devices are
+/// linearized. Batch journals mix it into their configuration hash, so a
+/// journal written for another layout is refused instead of resuming into
+/// bits this build would not reproduce: the per-driver circuit used before
+/// drivers were folded (no token), and the folded circuit whose MOSFET
+/// Jacobians came from finite differences ("folded-drivers"). Either moves
+/// V_max in the last digits (typically ~1e-8 relative) by changing Newton's
+/// path.
+inline constexpr char kSsnBenchLayout[] = "folded-drivers+analytic-jacobians";
 
 }  // namespace ssnkit::circuit

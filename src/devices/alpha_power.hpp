@@ -13,6 +13,7 @@
 //                  * (1 + lambda_clm*vds)                    vds <  vdsat
 //
 // The two branches meet with matching value and d/dvds at vds = vdsat.
+// evaluate() differentiates this chain in closed form.
 #pragma once
 
 #include "devices/mosfet_model.hpp"
@@ -41,6 +42,7 @@ class AlphaPowerModel final : public MosfetModel {
   const AlphaPowerParams& params() const { return params_; }
 
   double ids(double vgs, double vds, double vbs) const override;
+  MosfetEval evaluate(double vgs, double vds, double vbs) const override;
   std::unique_ptr<MosfetModel> clone() const override;
 
   /// Threshold including body effect at the given source-bulk bias.

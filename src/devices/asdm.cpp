@@ -9,7 +9,7 @@
 // ssn-units: k=A/V, lambda=1, vx=V, eps_smooth=V
 // ssn-units: vg=V, vs=V, vgs=V, vds=V, vbs=V, overdrive=V, slope=1
 // ssn-units: ids=A, ids_gate_source=A, turn_on_vg=V, gm=A/V, gds=A/V, gmb=A/V
-// ssn-units: softplus=V, softplus_deriv=1
+// ssn-units: softplus=V
 
 namespace ssnkit::devices {
 
@@ -39,15 +39,15 @@ double AsdmModel::ids(double vgs, double /*vds*/, double vbs) const {
   return params_.k * softplus(overdrive, params_.eps_smooth);
 }
 
-MosfetEval AsdmModel::evaluate(double vgs, double vds, double vbs) const {
-  MosfetEval out;
-  out.ids = ids(vgs, vds, vbs);
+MosfetEval AsdmModel::evaluate(double vgs, double /*vds*/, double vbs) const {
   const double overdrive = vgs + (params_.lambda - 1.0) * vbs - params_.vx;
-  const double slope = softplus_deriv(overdrive, params_.eps_smooth);
-  out.gm = params_.k * slope;
+  const ValueSlope on = softplus_with_slope(overdrive, params_.eps_smooth);
+  MosfetEval out;
+  out.ids = params_.k * on.value;
+  out.gm = params_.k * on.slope;
   out.gds = 0.0;
   // d ids / d vbs: ids = k*(vgs + (lambda-1)*vbs - vx) when on.
-  out.gmb = params_.k * (params_.lambda - 1.0) * slope;
+  out.gmb = params_.k * (params_.lambda - 1.0) * on.slope;
   return out;
 }
 

@@ -1,5 +1,6 @@
 #include "devices/bsim_lite.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -52,6 +53,65 @@ double BsimLiteModel::ids(double vgs, double vds, double vbs) const {
                       (1.0 + vdseff / params_.vsat_v);
   const double clm = 1.0 + params_.lambda_clm * std::max(vds_pos - vdseff, 0.0);
   return core * clm;
+}
+
+MosfetEval BsimLiteModel::evaluate(double vgs, double vds, double vbs) const {
+  // The current is ids()'s expression evaluated in the same order, so the
+  // two agree bit for bit; the derivatives follow it by the chain rule.
+  const ValueSlope vth = body_effect_vt_with_slope(
+      params_.vt0, params_.gamma, params_.phi2f, -vbs);
+  const ValueSlope sp =
+      softplus_with_slope(vgs - vth.value, params_.eps_smooth);
+  const double vgt = sp.value;
+  const double vsat = params_.vsat_v;
+  const double mu_eff = 1.0 / (1.0 + params_.theta * vgt);
+  const double vds_sat = vgt * vsat / (vgt + vsat);
+  const double vds_pos = std::max(vds, 0.0);
+
+  // vdseff = vds*vdsat/norm with norm = (vds^4 + vdsat^4)^(1/4), so
+  // d vdseff/d vds = (vdsat/norm)^5 and d vdseff/d vdsat = (vds/norm)^5.
+  // On the zero branch vdseff = 0 for vds <= 0, and for vds > 0 it
+  // follows vdsat as vdsat -> 0+.
+  constexpr double p = 4.0;
+  double vdseff = 0.0;
+  double dvdseff_dvds = 0.0;
+  double dvdseff_dvdsat = vds_pos > 0.0 ? 1.0 : 0.0;
+  if (!(vds_pos <= 0.0 || vds_sat <= 0.0)) {
+    const double norm =
+        std::pow(std::pow(vds_pos, p) + std::pow(vds_sat, p), 1.0 / p);
+    vdseff = vds_pos * vds_sat / norm;
+    const auto fifth = [](double r) { return r * r * r * r * r; };
+    dvdseff_dvds = fifth(vds_sat / norm);
+    dvdseff_dvdsat = fifth(vds_pos / norm);
+  }
+
+  const double denom = 1.0 + vdseff / vsat;
+  const double core =
+      params_.kp * mu_eff * (vgt - 0.5 * vdseff) * vdseff / denom;
+  const double excess = vds_pos - vdseff;
+  const double clm = 1.0 + params_.lambda_clm * std::max(excess, 0.0);
+  const double dclm = excess > 0.0 ? params_.lambda_clm : 0.0;  // d/d vds
+
+  // Partials of core: through vgt directly (mobility, overdrive) and
+  // through vdseff.
+  const double dmu_dvgt = -params_.theta * mu_eff * mu_eff;
+  const double dcore_dvgt =
+      params_.kp * (dmu_dvgt * (vgt - 0.5 * vdseff) + mu_eff) * vdseff / denom;
+  const double dcore_dvdseff =
+      params_.kp * mu_eff *
+      ((vgt - vdseff) - (vgt - 0.5 * vdseff) * vdseff / (vsat * denom)) / denom;
+  const double dids_dvdseff = dcore_dvdseff * clm - core * dclm;
+  const double dvdsat_dvgt = vsat * vsat / ((vgt + vsat) * (vgt + vsat));
+  const double dids_dvgt =
+      dcore_dvgt * clm + dids_dvdseff * dvdseff_dvdsat * dvdsat_dvgt;
+
+  MosfetEval out;
+  out.ids = core * clm;
+  out.gds = vds > 0.0 ? dids_dvdseff * dvdseff_dvds + core * dclm : 0.0;
+  out.gm = dids_dvgt * sp.slope;
+  // vbs enters only through vt: d vgt / d vbs = -d vt/d vbs = d vt / d vsb.
+  out.gmb = out.gm * vth.slope;
+  return out;
 }
 
 std::unique_ptr<MosfetModel> BsimLiteModel::clone() const {

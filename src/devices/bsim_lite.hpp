@@ -6,12 +6,14 @@
 // I–V surface, not just the family it resembles.
 //
 //   vt      = vt0 + gamma*(sqrt(phi2f+vsb) - sqrt(phi2f))
-//   vgt     = smooth_relu(vgs - vt)
+//   vgt     = softplus(vgs - vt)
 //   mu_eff  = 1 / (1 + theta*vgt)                 (vertical field)
 //   vdsat   = vgt*vsat_v / (vgt + vsat_v)         (velocity saturation)
 //   vdseff  = smooth-min(vds, vdsat)
 //   ids     = kp*mu_eff*(vgt - vdseff/2)*vdseff / (1 + vdseff/vsat_v)
 //             * (1 + lambda_clm*(vds - vdseff))
+//
+// evaluate() differentiates this chain in closed form.
 #pragma once
 
 #include "devices/mosfet_model.hpp"
@@ -38,6 +40,7 @@ class BsimLiteModel final : public MosfetModel {
   const BsimLiteParams& params() const { return params_; }
 
   double ids(double vgs, double vds, double vbs) const override;
+  MosfetEval evaluate(double vgs, double vds, double vbs) const override;
   std::unique_ptr<MosfetModel> clone() const override;
 
   double vt(double vsb) const;

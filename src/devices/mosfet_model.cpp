@@ -6,18 +6,6 @@
 
 namespace ssnkit::devices {
 
-MosfetEval MosfetModel::evaluate(double vgs, double vds, double vbs) const {
-  MosfetEval out;
-  out.ids = ids(vgs, vds, vbs);
-  // Central differences with a voltage-scale step; accurate enough for
-  // Newton convergence (the Jacobian only steers the iteration).
-  const double h = 1e-6;
-  out.gm = (ids(vgs + h, vds, vbs) - ids(vgs - h, vds, vbs)) / (2.0 * h);
-  out.gds = (ids(vgs, vds + h, vbs) - ids(vgs, vds - h, vbs)) / (2.0 * h);
-  out.gmb = (ids(vgs, vds, vbs + h) - ids(vgs, vds, vbs - h)) / (2.0 * h);
-  return out;
-}
-
 ScaledMosfetModel::ScaledMosfetModel(std::unique_ptr<MosfetModel> inner,
                                      double factor)
     : inner_(std::move(inner)), factor_(factor) {
@@ -56,23 +44,31 @@ double smooth_relu_deriv(double x, double eps) {
 }
 
 double softplus(double x, double eps) {
-  if (eps <= 0.0) throw std::invalid_argument("softplus: eps must be > 0");
-  // Numerically stable: max(x, 0) + eps*log1p(exp(-|x|/eps)).
-  return std::max(x, 0.0) + eps * std::log1p(std::exp(-std::fabs(x) / eps));
+  return softplus_with_slope(x, eps).value;
 }
 
-double softplus_deriv(double x, double eps) {
-  if (eps <= 0.0) throw std::invalid_argument("softplus_deriv: eps must be > 0");
-  if (x >= 0.0) return 1.0 / (1.0 + std::exp(-x / eps));
-  const double e = std::exp(x / eps);
-  return e / (1.0 + e);
+ValueSlope softplus_with_slope(double x, double eps) {
+  if (eps <= 0.0) throw std::invalid_argument("softplus: eps must be > 0");
+  // Numerically stable: max(x, 0) + eps*log1p(exp(-|x|/eps)). With
+  // e = exp(-|x|/eps) the logistic slope is 1/(1+e) for x >= 0 and e/(1+e)
+  // below.
+  const double e = std::exp(-std::fabs(x) / eps);
+  return {std::max(x, 0.0) + eps * std::log1p(e),
+          (x >= 0.0 ? 1.0 : e) / (1.0 + e)};
 }
 
 double body_effect_vt(double vt0, double gamma, double phi2f, double vsb) {
-  if (gamma == 0.0) return vt0;  // ssnlint-ignore(SSN-L001)
+  return body_effect_vt_with_slope(vt0, gamma, phi2f, vsb).value;
+}
+
+ValueSlope body_effect_vt_with_slope(double vt0, double gamma, double phi2f,
+                                     double vsb) {
+  if (gamma == 0.0) return {vt0, 0.0};  // ssnlint-ignore(SSN-L001)
   if (phi2f <= 0.0) throw std::invalid_argument("body_effect_vt: phi2f must be > 0");
-  const double vsb_clamped = std::max(vsb, -0.5 * phi2f);
-  return vt0 + gamma * (std::sqrt(phi2f + vsb_clamped) - std::sqrt(phi2f));
+  const double clamp = -0.5 * phi2f;
+  const double root = std::sqrt(phi2f + std::max(vsb, clamp));
+  return {vt0 + gamma * (root - std::sqrt(phi2f)),
+          vsb < clamp ? 0.0 : 0.5 * gamma / root};
 }
 
 }  // namespace ssnkit::devices

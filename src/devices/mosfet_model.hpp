@@ -28,10 +28,11 @@ class MosfetModel {
   /// implementations must return something finite for any input).
   virtual double ids(double vgs, double vds, double vbs) const = 0;
 
-  /// Current plus derivatives. The default implementation uses central
-  /// finite differences on ids(); models with cheap analytic derivatives
-  /// may override.
-  virtual MosfetEval evaluate(double vgs, double vds, double vbs) const;
+  /// Current plus its analytic derivatives: evaluate(...).ids equals
+  /// ids(...) bit for bit. The models clamp vds at 0; for vds <= 0, vds = 0
+  /// included, gds is the clamp's flat-side 0. The MOSFET element makes one
+  /// call per stamp.
+  virtual MosfetEval evaluate(double vgs, double vds, double vbs) const = 0;
 
   virtual std::unique_ptr<MosfetModel> clone() const = 0;
 
@@ -68,16 +69,26 @@ double smooth_relu(double x, double eps);
 /// Derivative of smooth_relu with respect to x.
 double smooth_relu_deriv(double x, double eps);
 
+/// A function's value and its derivative at one point.
+struct ValueSlope {
+  double value = 0.0;
+  double slope = 0.0;
+};
+
 /// Softplus rectifier eps*log(1+exp(x/eps)): like smooth_relu but with an
 /// exponentially vanishing off-tail (smooth_relu decays only as eps^2/|x|,
 /// which leaks visible current through gigaohm-scale anchors).
 double softplus(double x, double eps);
 
-/// Derivative of softplus with respect to x (the logistic function).
-double softplus_deriv(double x, double eps);
+/// softplus and its derivative (the logistic function) from one exp.
+ValueSlope softplus_with_slope(double x, double eps);
 
 /// Body-effect threshold shift: vt = vt0 + gamma*(sqrt(phi2f+vsb)-sqrt(phi2f))
 /// with vsb clamped at -phi2f/2 to stay real under forward body bias.
 double body_effect_vt(double vt0, double gamma, double phi2f, double vsb);
+
+/// body_effect_vt and d vt / d vsb, which is 0 past the clamp.
+ValueSlope body_effect_vt_with_slope(double vt0, double gamma, double phi2f,
+                                     double vsb);
 
 }  // namespace ssnkit::devices

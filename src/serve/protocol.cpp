@@ -160,8 +160,10 @@ std::string cache_key_string(const ServeRequest& r) {
   // Doubles enter as exact bit patterns (same convention as the journal's
   // batch_config_hash): "the same request" means the same IEEE values.
   // v2: simulated results come from the folded testbench, whose V_max bits
-  // differ from v1's per-driver circuit, so v1 spill entries never hit.
-  std::string s = "serve-v2|";
+  // differ from v1's per-driver circuit. v3: the MOSFETs stamp analytic
+  // Jacobians, which changes Newton's path and so v2's last digits. Spill
+  // entries under an older prefix never hit.
+  std::string s = "serve-v3|";
   s += r.cmd;
   s += '|';
   s += r.tech;

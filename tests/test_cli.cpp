@@ -136,23 +136,16 @@ TEST(Cli, SweepNEmitsCsv) {
 
 TEST(Cli, ResumeRefusesJournalFromThePerDriverLayout) {
   // A journal written before drivers were folded holds the per-driver
-  // circuit's V_max bits (typically ~1e-8 relative away from the folded
-  // ones); resuming from it would splice them into a folded run. Its
-  // configuration hash lacks the testbench layout token, so the resume
-  // fails as a mismatch.
-  const std::string path = testing::TempDir() + "cli_layout_journal.txt";
-  std::remove(path.c_str());
-  std::string out, err;
-  ASSERT_EQ(run({"mc", "--sim", "--samples", "4", "--journal", path}, out,
-                err),
-            0)
-      << err;
-
-  // The CLI defaults: 180nm, alpha golden, PGA package, N = 8, 0.1 ns edge,
-  // pad C on, seed 12345.
+  // circuit's V_max bits, and one written before the MOSFETs stamped
+  // analytic Jacobians holds the bits of another Newton path (either
+  // typically ~1e-8 relative away from this build's). Resuming from it
+  // would splice them into this run. Its configuration hash carries no
+  // layout token or the older one, so the resume fails as a mismatch.
   using namespace ssnkit;
   const auto tech = process::tech_180nm();
   const auto pkg = process::package_pga();
+  // The CLI defaults: 180nm, alpha golden, PGA package, N = 8, 0.1 ns edge,
+  // pad C on, seed 12345.
   const auto config_line = [&](const std::string& layout) {
     const std::string s =
         "mc-sim|" + layout + tech.name + "|alpha|" +
@@ -161,22 +154,33 @@ TEST(Cli, ResumeRefusesJournalFromThePerDriverLayout) {
         support::hex_u64(support::double_bits(0.1e-9)) + "|c|4|12345";
     return "config " + support::hex_u64(support::fnv1a(s));
   };
-  std::ifstream in(path);
-  std::stringstream ss;
-  ss << in.rdbuf();
-  std::string text = ss.str();
-  const std::string folded =
-      config_line(std::string(circuit::kSsnBenchLayout) + "|");
-  const auto at = text.find(folded);
-  ASSERT_NE(at, std::string::npos) << "hash reconstruction is off:\n" << text;
-  text.replace(at, folded.size(), config_line(""));
-  support::write_file_atomic(path, text);
+  for (const std::string old_layout : {"", "folded-drivers|"}) {
+    SCOPED_TRACE("layout token '" + old_layout + "'");
+    const std::string path = testing::TempDir() + "cli_layout_journal.txt";
+    std::remove(path.c_str());
+    std::string out, err;
+    ASSERT_EQ(run({"mc", "--sim", "--samples", "4", "--journal", path}, out,
+                  err),
+              0)
+        << err;
 
-  EXPECT_EQ(run({"mc", "--sim", "--samples", "4", "--resume", path}, out, err),
-            1);
-  EXPECT_NE((out + err).find("configuration hash mismatch"), std::string::npos)
-      << out << err;
-  std::remove(path.c_str());
+    std::ifstream in(path);
+    std::stringstream ss;
+    ss << in.rdbuf();
+    std::string text = ss.str();
+    const std::string current =
+        config_line(std::string(circuit::kSsnBenchLayout) + "|");
+    const auto at = text.find(current);
+    ASSERT_NE(at, std::string::npos) << "hash reconstruction is off:\n" << text;
+    text.replace(at, current.size(), config_line(old_layout));
+    support::write_file_atomic(path, text);
+
+    EXPECT_EQ(run({"mc", "--sim", "--samples", "4", "--resume", path}, out, err),
+              1);
+    EXPECT_NE((out + err).find("configuration hash mismatch"), std::string::npos)
+        << out << err;
+    std::remove(path.c_str());
+  }
 }
 
 TEST(Cli, DesignAnswersQueries) {

@@ -1,14 +1,23 @@
 // Device models: smoothing primitives, alpha-power golden, BSIM-lite
-// golden, the ASDM, and the width-scaling adapter.
+// golden, the ASDM, the width-scaling adapter, and every model's analytic
+// Jacobian against the finite-difference oracle.
 #include "devices/alpha_power.hpp"
 #include "devices/asdm.hpp"
 #include "devices/bsim_lite.hpp"
 #include "process/package.hpp"
 #include "process/technology.hpp"
+#include "reference/jacobian.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <functional>
+#include <string>
+#include <vector>
 
 namespace {
 
@@ -28,6 +37,41 @@ TEST(SmoothRelu, DerivativeMatchesFiniteDifference) {
     const double fd = (smooth_relu(x + h, eps) - smooth_relu(x - h, eps)) / (2 * h);
     EXPECT_NEAR(smooth_relu_deriv(x, eps), fd, 1e-6);
   }
+}
+
+TEST(Softplus, SlopeHelperMatchesValueAndDerivative) {
+  const double eps = 2e-3;
+  for (double x : {-1.0, -0.02, -0.004, -1e-4, 0.0, 1e-4, 0.004, 0.02, 1.0}) {
+    const ValueSlope vs = softplus_with_slope(x, eps);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(vs.value),
+              std::bit_cast<std::uint64_t>(softplus(x, eps)))
+        << x;
+    const double h = 1e-7;
+    EXPECT_NEAR(vs.slope, (softplus(x + h, eps) - softplus(x - h, eps)) / (2 * h),
+                1e-6)
+        << x;
+  }
+  EXPECT_THROW(softplus_with_slope(0.0, 0.0), std::invalid_argument);
+}
+
+TEST(BodyEffect, SlopeHelperIsZeroPastTheClamp) {
+  const double vt0 = 0.45, gamma = 0.35, phi2f = 0.85;
+  for (double vsb : {-0.8, -0.5, -0.3, 0.0, 0.5, 1.5}) {
+    const ValueSlope vt = body_effect_vt_with_slope(vt0, gamma, phi2f, vsb);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(vt.value),
+              std::bit_cast<std::uint64_t>(body_effect_vt(vt0, gamma, phi2f, vsb)))
+        << vsb;
+    const double h = 1e-6;
+    EXPECT_NEAR(vt.slope,
+                (body_effect_vt(vt0, gamma, phi2f, vsb + h) -
+                 body_effect_vt(vt0, gamma, phi2f, vsb - h)) /
+                    (2 * h),
+                1e-8)
+        << vsb;
+  }
+  // Forward bias past -phi2f/2 holds vt, so its slope is exactly zero.
+  EXPECT_EQ(body_effect_vt_with_slope(vt0, gamma, phi2f, -0.6).slope, 0.0);
+  EXPECT_EQ(body_effect_vt_with_slope(vt0, 0.0, phi2f, 0.5).slope, 0.0);
 }
 
 TEST(BodyEffect, RaisesThresholdWithSourceBias) {
@@ -240,6 +284,139 @@ TEST(Package, PresetsAndPadScaling) {
   EXPECT_THROW(pga.with_ground_pads(0), std::invalid_argument);
   EXPECT_THROW(package_by_name("dip"), std::invalid_argument);
   EXPECT_LT(package_flip_chip().inductance, package_wire_bond().inductance);
+}
+
+// --- Analytic Jacobians against the finite-difference oracle ---------------
+
+/// One model under test plus what the grid needs to place its points: the
+/// threshold at a source-bulk bias, vdsat (0 when the model has none), the
+/// turn-on smoothing width and the body-effect clamp.
+struct JacobianCase {
+  std::string name;
+  std::shared_ptr<const MosfetModel> model;
+  std::function<double(double vsb)> vt;
+  std::function<double(double vgs, double vbs)> vdsat;
+  /// True when vds = vdsat is a kink (alpha-power's C1 join); otherwise the
+  /// surface bends smoothly over a width ~vdsat there (BSIM-lite's blend).
+  bool vdsat_is_kink = false;
+  double eps = 0.0;
+  double phi2f = 0.0;  ///< body-effect clamp at vbs = phi2f/2 (0: none)
+};
+
+std::vector<JacobianCase> jacobian_cases() {
+  using namespace ssnkit::process;
+  std::vector<JacobianCase> cases;
+  for (const auto& tech : {tech_180nm(), tech_250nm(), tech_350nm()}) {
+    auto alpha = std::make_shared<AlphaPowerModel>(tech.alpha_power);
+    auto bsim = std::make_shared<BsimLiteModel>(tech.bsim_lite);
+    const auto alpha_vt = [alpha](double vsb) { return alpha->vt(vsb); };
+    const auto alpha_vdsat = [alpha](double vgs, double vbs) {
+      return alpha->vdsat(vgs, vbs);
+    };
+    const auto bsim_vt = [bsim](double vsb) { return bsim->vt(vsb); };
+    const auto bsim_vdsat = [bsim](double vgs, double vbs) {
+      return bsim->vdsat(vgs, vbs);
+    };
+    cases.push_back({"alpha " + tech.name, alpha, alpha_vt, alpha_vdsat, true,
+                     tech.alpha_power.eps_smooth, tech.alpha_power.phi2f});
+    cases.push_back({"bsim " + tech.name, bsim, bsim_vt, bsim_vdsat, false,
+                     tech.bsim_lite.eps_smooth, tech.bsim_lite.phi2f});
+    // Folded drivers: one ScaledMosfetModel layer of width x m.
+    cases.push_back({"scaled alpha " + tech.name,
+                     std::make_shared<ScaledMosfetModel>(alpha->clone(), 37.5),
+                     alpha_vt, alpha_vdsat, true, tech.alpha_power.eps_smooth,
+                     tech.alpha_power.phi2f});
+    cases.push_back({"scaled bsim " + tech.name,
+                     std::make_shared<ScaledMosfetModel>(bsim->clone(), 37.5),
+                     bsim_vt, bsim_vdsat, false, tech.bsim_lite.eps_smooth,
+                     tech.bsim_lite.phi2f});
+  }
+  const AsdmParams asdm{.k = 5e-3, .lambda = 1.3, .vx = 0.6};
+  // The ASDM turns on at vgs = vx - (lambda - 1)*vbs = vx + (lambda - 1)*vsb.
+  cases.push_back({"asdm", std::make_shared<AsdmModel>(asdm),
+                   [asdm](double vsb) { return asdm.vx + (asdm.lambda - 1.0) * vsb; },
+                   [](double, double) { return 0.0; }, false, asdm.eps_smooth,
+                   0.0});
+  return cases;
+}
+
+TEST(AnalyticJacobian, MatchesFiniteDifferencesOverTheGrid) {
+  // The grid crosses every place the chain rule could go wrong: softplus
+  // turn-on (|vgs - vt| up to 10 eps), both sides of vds = vdsat (+-0.1 mV),
+  // vds -> 0+, saturation, and forward body bias past the vsb = -phi2f/2
+  // clamp. Central differences are only an oracle where the surface is
+  // smooth on scales well above h, so two kinds of points are left out:
+  //  - within 10 h of a kink (vds = 0, alpha-power's vds = vdsat, the clamp);
+  //  - BSIM-lite's blend where vdsat < 5 mV (a few eps above turn-on) and
+  //    vds < 3 vdsat. The blend bends over a width ~vdsat there, so the
+  //    oracle's truncation, ~10 (h/vdsat)^2, exceeds the tolerance; a
+  //    step-halved Richardson estimate agrees with evaluate() to 1e-9.
+  const double h = ssnkit::reference::kJacobianStep;
+  const double tol = 1e-6;
+  for (const JacobianCase& c : jacobian_cases()) {
+    SCOPED_TRACE(c.name);
+    double worst = 0.0;
+    int points = 0;
+    for (double vbs : {0.0, -0.3, -0.9, 0.2, 0.6, 1.0}) {
+      if (c.phi2f > 0.0 && std::fabs(vbs - 0.5 * c.phi2f) < 10.0 * h) continue;
+      std::vector<double> vgs_list = {0.0, 0.3, 0.7, 1.2, 1.8, 3.3};
+      for (double k : {-10.0, -3.0, -1.0, -0.3, 0.0, 0.3, 1.0, 3.0, 10.0})
+        vgs_list.push_back(c.vt(-vbs) + k * c.eps);
+      for (double vgs : vgs_list) {
+        const double vdsat = c.vdsat(vgs, vbs);
+        std::vector<double> vds_list = {1e-5, 1e-4, 1e-3, 0.05, 0.4, 0.9, 1.8};
+        if (vdsat > 0.0) {
+          vds_list.push_back(vdsat - 1e-4);
+          vds_list.push_back(vdsat + 1e-4);
+        }
+        for (double vds : vds_list) {
+          if (vds < 10.0 * h) continue;
+          if (c.vdsat_is_kink ? std::fabs(vds - vdsat) < 10.0 * h
+                              : vdsat < 5e-3 && vds < 3.0 * vdsat)
+            continue;
+          const MosfetEval a = c.model->evaluate(vgs, vds, vbs);
+          const MosfetEval fd =
+              ssnkit::reference::finite_difference_evaluate(*c.model, vgs, vds, vbs);
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(a.ids),
+                    std::bit_cast<std::uint64_t>(c.model->ids(vgs, vds, vbs)))
+              << "vgs " << vgs << " vds " << vds << " vbs " << vbs;
+          const double scale =
+              std::fabs(a.gm) + std::fabs(a.gds) + std::fabs(a.gmb);
+          const double err =
+              std::max({std::fabs(a.gm - fd.gm), std::fabs(a.gds - fd.gds),
+                        std::fabs(a.gmb - fd.gmb)});
+          EXPECT_LE(err, tol * scale)
+              << "vgs " << vgs << " vds " << vds << " vbs " << vbs << ": gm "
+              << a.gm << "/" << fd.gm << " gds " << a.gds << "/" << fd.gds
+              << " gmb " << a.gmb << "/" << fd.gmb;
+          if (scale > 0.0) worst = std::max(worst, err / scale);
+          ++points;
+        }
+      }
+    }
+    EXPECT_GT(points, 500);
+    char worst_text[32];
+    std::snprintf(worst_text, sizeof worst_text, "%.2e", worst);
+    RecordProperty(c.name, worst_text);
+  }
+}
+
+TEST(AnalyticJacobian, ClampedVdsTakesTheFlatSide) {
+  // The models clamp vds at 0 (the element reflects reverse operation
+  // before calling them), and at vds <= 0, vds = 0 included, gds is the
+  // flat side's 0. A golden device sitting exactly at vds = 0 then carries
+  // no current and stamps nothing at all; just above 0 it has its triode
+  // conductance.
+  for (const JacobianCase& c : jacobian_cases()) {
+    SCOPED_TRACE(c.name);
+    for (double vds : {-0.2, 0.0}) EXPECT_EQ(c.model->evaluate(1.2, vds, -0.1).gds, 0.0);
+    if (c.name == "asdm") continue;  // a pure saturation model: no vds at all
+    const MosfetEval at0 = c.model->evaluate(1.2, 0.0, -0.1);
+    EXPECT_EQ(at0.ids, 0.0);
+    EXPECT_EQ(at0.gm, 0.0);
+    EXPECT_EQ(at0.gmb, 0.0);
+    EXPECT_GT(c.model->evaluate(1.2, 1e-9, -0.1).gds, 1e-3);
+  }
 }
 
 }  // namespace

@@ -1,13 +1,16 @@
 // White-box element tests: companion-model algebra per integrator, PMOS
-// polarity mapping, reverse-mode MOSFET operation, and element bookkeeping.
+// polarity mapping, reverse-mode MOSFET operation, the MOSFET stamp against
+// the finite-difference oracle, and element bookkeeping.
 #include "circuit/circuit.hpp"
 #include "devices/asdm.hpp"
 #include "process/technology.hpp"
+#include "reference/jacobian.hpp"
 #include "sim/engine.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 namespace {
 
@@ -118,6 +121,68 @@ TEST(MosfetElement, ReverseModeSwapsTerminals) {
   // Not exactly equal (body effect differs: bulk at 0 biases the swapped
   // source) but same order.
   EXPECT_NEAR(-i_rev, i_fwd, 0.5 * i_fwd);
+}
+
+TEST(MosfetElement, StampMatchesFiniteDifferencesOfDrainCurrent) {
+  // One model evaluation per stamp, reflected for PMOS and reverse
+  // operation: every Jacobian entry of the drain and source rows must match
+  // central differences of drain_current in that node's voltage, and the
+  // linearization must reproduce the drain current at the bias point.
+  struct Bias {
+    const char* what;
+    MosfetPolarity polarity;
+    double vd, vg, vs, vb;
+  };
+  const Bias biases[] = {
+      {"nmos forward sat", MosfetPolarity::kNmos, 1.5, 1.2, 0.2, 0.0},
+      {"nmos forward triode", MosfetPolarity::kNmos, 0.35, 1.6, 0.2, 0.0},
+      {"nmos forward body past clamp", MosfetPolarity::kNmos, 1.2, 1.1, 0.1, 0.9},
+      {"nmos reverse sat", MosfetPolarity::kNmos, 0.2, 1.2, 1.5, 0.0},
+      {"nmos reverse triode", MosfetPolarity::kNmos, 0.2, 1.6, 0.35, 0.0},
+      {"pmos forward sat", MosfetPolarity::kPmos, 0.3, 0.5, 1.8, 2.0},
+      {"pmos forward triode", MosfetPolarity::kPmos, 1.6, 0.2, 1.75, 1.8},
+      {"pmos reverse sat", MosfetPolarity::kPmos, 1.8, 0.5, 0.3, 2.0},
+      {"pmos reverse triode", MosfetPolarity::kPmos, 1.75, 0.2, 1.6, 1.8},
+  };
+  const auto tech = process::tech_180nm();
+  for (auto golden :
+       {process::GoldenKind::kAlphaPower, process::GoldenKind::kBsimLite}) {
+    std::shared_ptr<const devices::MosfetModel> model(tech.make_golden(golden, 3.0));
+    for (const Bias& bias : biases) {
+      SCOPED_TRACE(std::string(bias.what) +
+                   (golden == process::GoldenKind::kAlphaPower ? " alpha" : " bsim"));
+      Circuit ckt;
+      const NodeId d = ckt.node("d");
+      const NodeId g = ckt.node("g");
+      const NodeId s = ckt.node("s");
+      const NodeId b = ckt.node("b");
+      auto& m = ckt.add_mosfet("M1", d, g, s, b, model, bias.polarity);
+      StampHarness h(ckt);
+      h.x = Vector{bias.vd, bias.vg, bias.vs, bias.vb};
+      m.stamp(h.ctx);
+
+      const int nodes = ckt.node_count();
+      const Vector grad = reference::drain_current_gradient(m, h.x, nodes);
+      const double i0 = m.drain_current(h.x, nodes);
+      EXPECT_GT(std::fabs(i0), 1e-6);
+      const std::size_t row_d = std::size_t(d - 1), row_s = std::size_t(s - 1);
+      double scale = 0.0;
+      for (std::size_t k = 0; k < h.n; ++k) scale += std::fabs(h.a(row_d, k));
+      for (std::size_t k = 0; k < h.n; ++k) {
+        EXPECT_NEAR(h.a(row_d, k), grad[k], 1e-6 * scale) << "column " << k;
+        EXPECT_EQ(h.a(row_s, k), -h.a(row_d, k)) << "column " << k;
+      }
+      // KCL rows of the linearization at the bias point: J*x + ieq = i0
+      // leaves the drain and enters the source.
+      double lin_d = -h.b[row_d], lin_s = -h.b[row_s];
+      for (std::size_t k = 0; k < h.n; ++k) {
+        lin_d += h.a(row_d, k) * h.x[k];
+        lin_s += h.a(row_s, k) * h.x[k];
+      }
+      EXPECT_NEAR(lin_d, i0, 1e-12 * std::fabs(i0) + 1e-15);
+      EXPECT_NEAR(lin_s, -i0, 1e-12 * std::fabs(i0) + 1e-15);
+    }
+  }
 }
 
 TEST(ElementBookkeeping, RemoveElementAndReuseName) {

@@ -234,6 +234,44 @@ TEST(Fold, UnknownCountIsFlatInN) {
   }
 }
 
+TEST(Fold, NewtonIterationsStayFlatInN) {
+  // A folded pull-up carries m times one driver's conductance. Had it
+  // stamped that conductance at the quiescent point (output exactly on
+  // vdd, v_ds = 0), then past ~1 S (BSIM-lite m ~ 56, alpha-power m ~ 96)
+  // the first transient factorization would take the vdd column's pivot
+  // from the vdd KCL row instead of the Vdd branch row and keep it; the
+  // resulting round-off in I(Vdd) outgrows Newton's 1e-12 A floor. With
+  // finite-difference Jacobians that cost 40-75 % more iterations (e.g.
+  // BSIM-lite without C at 50 ps: 326 at N = 48, 503-570 at N = 64-256).
+  // A device exactly at v_ds = 0 now stamps nothing, and the count stays
+  // flat in N without touching the floor.
+  for (auto golden :
+       {process::GoldenKind::kAlphaPower, process::GoldenKind::kBsimLite}) {
+    for (bool with_c : {true, false}) {
+      for (double tr : {50e-12, 300e-12}) {
+        SsnBenchSpec spec;
+        spec.golden = golden;
+        spec.include_package_c = with_c;
+        spec.input_rise_time = tr;
+        const auto iterations = [&](int n) {
+          spec.n_drivers = n;
+          SsnBench bench = circuit::make_ssn_testbench(spec);
+          return testutil::full_device(analysis::measure_ssn(bench))
+              .stats.newton_iterations;
+        };
+        const std::size_t base = iterations(48);
+        for (int n : {64, 96, 128, 256}) {
+          const std::size_t count = iterations(n);
+          EXPECT_LE(double(count), 1.25 * double(base))
+              << (golden == process::GoldenKind::kAlphaPower ? "alpha" : "bsim")
+              << (with_c ? " C" : " no-C") << " tr " << tr << ": " << count
+              << " iterations at N = " << n << " vs " << base << " at N = 48";
+        }
+      }
+    }
+  }
+}
+
 TEST(Fold, ClassesKeepTheirLowestMembersNames) {
   // 6 switching drivers in three delay groups (0, 10, 0, 20, 10, 0 ps) plus
   // two quiet ones: four classes named after drivers 0, 1, 3 and 6.

@@ -438,10 +438,10 @@ TEST(ServeServer, OverloadShedsWithE064AndBoundedQueue) {
   ResponseCollector rc;
   // Slow enough to straddle the later submissions, bounded by its own
   // deadline so the test never waits on the full sweep. This 34-point
-  // sweep of 1 us edges without C runs 120-270 ms on a 4-vCPU VM (release),
-  // 12-27x the 10 ms claim wait below.
+  // BSIM-lite sweep of 1 us edges with a 1 nF pad runs 150-230 ms on a
+  // 4-vCPU VM (release), 15-23x the 10 ms claim wait below.
   server.submit_line(
-      R"({"id":"slow","cmd":"sweep-n","max_n":64,"tr":1e-6,"include_c":false,"deadline":0.5})",
+      R"({"id":"slow","cmd":"sweep-n","max_n":64,"tr":1e-6,"golden":"bsim","c":1e-9,"deadline":0.5})",
       rc.sink());
   // Give the dispatcher time to claim the slow request off the queue.
   const auto t0 = std::chrono::steady_clock::now();
@@ -464,10 +464,10 @@ TEST(ServeServer, OverloadShedsWithE064AndBoundedQueue) {
 TEST(ServeServer, PerRequestDeadlineCancelsOnlyThatRequest) {
   serve::Server server(quick_config());
   ResponseCollector rc;
-  // The sweep runs 120-270 ms on a 4-vCPU VM (release), 12-27x its
+  // The sweep runs 150-230 ms on a 4-vCPU VM (release), 15-23x its
   // 10 ms deadline.
   server.submit_line(
-      R"({"id":"doomed","cmd":"sweep-n","max_n":64,"tr":1e-6,"include_c":false,"deadline":0.01})",
+      R"({"id":"doomed","cmd":"sweep-n","max_n":64,"tr":1e-6,"golden":"bsim","c":1e-9,"deadline":0.01})",
       rc.sink());
   server.submit_line(R"({"id":"fine","cmd":"estimate","n":4})", rc.sink());
   const auto lines = rc.await(2);
@@ -489,13 +489,13 @@ TEST(ServeServer, DrainAnswersEveryAcceptedRequest) {
   ResponseCollector rc;
   {
     serve::Server server(config);
-    // Each sweep runs 120-270 ms on a 4-vCPU VM (release), so the queue
-    // holds 0.7-1.6 s of work against the 50 ms drain deadline.
+    // Each sweep runs 150-230 ms on a 4-vCPU VM (release), so the queue
+    // holds 0.9-1.4 s of work against the 50 ms drain deadline.
     for (int i = 0; i < 6; ++i) {
       std::ostringstream req;
       req << "{\"id\":\"d" << i
           << "\",\"cmd\":\"sweep-n\",\"max_n\":64,\"tr\":1e-6,"
-             "\"include_c\":false}";
+             "\"golden\":\"bsim\",\"c\":1e-9}";
       server.submit_line(req.str(), rc.sink());
     }
     server.finish();
@@ -537,48 +537,54 @@ TEST(ServeServer, CacheSpillWarmsARestartedServer) {
 
 TEST(ServeServer, SpillFromThePerDriverLayoutNeverHits) {
   // A spill written before drivers were folded holds per-driver simulated
-  // results under "serve-v1|" keys. Re-key this build's own spill entry the
-  // way that build did: it still loads, but the request must recompute.
-  const std::string path = temp_path("serve_server_v1_spill");
-  std::remove(path.c_str());
-  serve::ServerConfig config = quick_config();
-  config.cache_file = path;
+  // results under "serve-v1|" keys, and one written before the MOSFETs
+  // stamped analytic Jacobians holds another Newton path's bits under
+  // "serve-v2|". Re-key this build's own spill entry the way each of those
+  // builds did: it still loads, but the request must recompute.
   const std::string line =
       R"({"id":"v1","cmd":"estimate","sim":true,"n":6,"tr":1e-10})";
-  {
-    serve::Server server(config);
-    ResponseCollector rc;
-    server.submit_line(line, rc.sink());
-    ASSERT_EQ(rc.await(1).size(), 1u);
-    server.finish();
-  }
   const auto parsed = parse_request(line);
   ASSERT_TRUE(parsed.ok);
-  std::string v1_key = serve::cache_key_string(parsed.request);
-  const std::string v2_prefix = "serve-v2|";
-  ASSERT_EQ(v1_key.compare(0, v2_prefix.size(), v2_prefix), 0) << v1_key;
-  v1_key.replace(0, v2_prefix.size(), "serve-v1|");
-  {
-    serve::ResultCache spill(4);
-    ASSERT_TRUE(spill.load(path).empty());
-    const auto payload = spill.get(serve::cache_key(parsed.request));
-    ASSERT_TRUE(payload.has_value());
-    serve::ResultCache rekeyed(4);
-    rekeyed.put(support::fnv1a(v1_key), *payload);
-    rekeyed.save(path);
+  const std::string current_prefix = "serve-v3|";
+  for (const char* old_prefix : {"serve-v1|", "serve-v2|"}) {
+    SCOPED_TRACE(old_prefix);
+    const std::string path = temp_path("serve_server_old_spill");
+    std::remove(path.c_str());
+    serve::ServerConfig config = quick_config();
+    config.cache_file = path;
+    {
+      serve::Server server(config);
+      ResponseCollector rc;
+      server.submit_line(line, rc.sink());
+      ASSERT_EQ(rc.await(1).size(), 1u);
+      server.finish();
+    }
+    std::string old_key = serve::cache_key_string(parsed.request);
+    ASSERT_EQ(old_key.compare(0, current_prefix.size(), current_prefix), 0)
+        << old_key;
+    old_key.replace(0, current_prefix.size(), old_prefix);
+    {
+      serve::ResultCache spill(4);
+      ASSERT_TRUE(spill.load(path).empty());
+      const auto payload = spill.get(serve::cache_key(parsed.request));
+      ASSERT_TRUE(payload.has_value());
+      serve::ResultCache rekeyed(4);
+      rekeyed.put(support::fnv1a(old_key), *payload);
+      rekeyed.save(path);
+    }
+    serve::Server restarted(config);
+    EXPECT_TRUE(restarted.warm_warnings().empty());
+    EXPECT_EQ(restarted.cache().stats().warmed, 1u);
+    ResponseCollector rc;
+    restarted.submit_line(line, rc.sink());
+    const auto lines = rc.await(1);
+    ASSERT_EQ(lines.size(), 1u);
+    EXPECT_NE(lines[0].find("\"id\":\"v1\",\"ok\":true,\"cached\":false"),
+              std::string::npos)
+        << lines[0];
+    EXPECT_EQ(restarted.stats().cache_hits, 0u);
+    std::remove(path.c_str());
   }
-  serve::Server restarted(config);
-  EXPECT_TRUE(restarted.warm_warnings().empty());
-  EXPECT_EQ(restarted.cache().stats().warmed, 1u);
-  ResponseCollector rc;
-  restarted.submit_line(line, rc.sink());
-  const auto lines = rc.await(1);
-  ASSERT_EQ(lines.size(), 1u);
-  EXPECT_NE(lines[0].find("\"id\":\"v1\",\"ok\":true,\"cached\":false"),
-            std::string::npos)
-      << lines[0];
-  EXPECT_EQ(restarted.stats().cache_hits, 0u);
-  std::remove(path.c_str());
 }
 
 TEST(ServeServer, CorruptSpillSurfacesW067AndStillStarts) {

@@ -233,13 +233,13 @@ TEST(SupervisorProcess, ComputesAndCachesAcrossTheProcessBoundary) {
 
 TEST(SupervisorProcess, Kill9MidRequestAnswersExactlyOneE069) {
   // One worker so the victim is unambiguous; a long sweep keeps it busy
-  // (120-270 ms on a 4-vCPU VM, release, against the ~1 ms busy poll).
+  // (150-230 ms on a 4-vCPU VM, release, against the ~1 ms busy poll).
   serve::ServerConfig config = process_config(1);
   config.cache_capacity = 0;
   serve::Server server(config);
   ResponseCollector rc;
   server.submit_line(
-      R"({"id":"victim","cmd":"sweep-n","max_n":64,"tr":1e-6,"include_c":false,"deadline":30})",
+      R"({"id":"victim","cmd":"sweep-n","max_n":64,"tr":1e-6,"golden":"bsim","c":1e-9,"deadline":30})",
       rc.sink());
   // Wait until the worker provably holds the request (admission precedes
   // the socketpair write — killing an idle worker would just be retried).
@@ -280,10 +280,10 @@ TEST(SupervisorProcess, DrainStaysBoundedWhenTheWorkerIsStopped) {
   serve::ServerStats stats;
   {
     serve::Server server(config);
-    // 120-270 ms of work on a 4-vCPU VM (release): still running when the
-    // ~1 ms busy poll below sees the worker take it.
+    // 150-230 ms of work on a 4-vCPU VM (release): still running when
+    // the ~1 ms busy poll below sees the worker take it.
     server.submit_line(
-        R"({"id":"frozen","cmd":"sweep-n","max_n":64,"tr":1e-6,"include_c":false})",
+        R"({"id":"frozen","cmd":"sweep-n","max_n":64,"tr":1e-6,"golden":"bsim","c":1e-9})",
         rc.sink());
     const auto t0 = std::chrono::steady_clock::now();
     while (server.supervisor()->busy_workers() == 0 &&
