@@ -226,6 +226,82 @@ BENCHMARK(BM_MnaAssemblySparse)
     ->Arg(24)
     ->Unit(benchmark::kMicrosecond);
 
+// The transient Jacobian, where LU fill lives: the DC Jacobian stamps no
+// capacitor companions and factors without fill in natural order too, so
+// BM_MnaAssemblySparse cannot see the column order. This one stamps the unfolded
+// bench mid-edge (the DC point at t_r / 2) with backward-Euler companions
+// at h = t_r / 200, the step a parsed netlist's .tran takes.
+struct TransientJacobian {
+  AssemblyFixture fx;
+  numeric::StampedMatrix sm;
+  numeric::Vector b;
+
+  explicit TransientJacobian(int n_drivers) : fx(n_drivers), b(fx.n) {
+    const double tr = circuit::SsnBenchSpec{}.input_rise_time;
+    const numeric::Vector x =
+        sim::dc_operating_point(fx.bench.circuit, tr / 2).solution;
+    circuit::AcceptContext actx;
+    actx.x = &x;
+    actx.node_count = fx.bench.circuit.node_count();
+    for (const auto& el : fx.bench.circuit.elements()) el->init_state(actx);
+    circuit::StampContext ctx;
+    ctx.mode = circuit::AnalysisMode::kTransient;
+    ctx.time = tr / 2;
+    ctx.coeffs.h = tr / 200;
+    ctx.coeffs.a0 = 1.0 / ctx.coeffs.h;
+    ctx.coeffs.a1 = -ctx.coeffs.a0;
+    ctx.x = &x;
+    ctx.sa = &sm;
+    ctx.b = &b;
+    sm.begin_pattern(fx.n);
+    for (const auto& el : fx.bench.circuit.elements()) el->stamp(ctx);
+    // The engine's (inactive) gmin diagonal, so the pattern is its pattern.
+    for (int node = 1; node < fx.bench.circuit.node_count(); ++node)
+      sm.add(std::size_t(node - 1), std::size_t(node - 1), 0.0);
+    sm.finalize_pattern();
+  }
+};
+
+// Per Newton iteration: numeric refactorization over the frozen order and
+// pivots, then one solve.
+void BM_TransientRefactor(benchmark::State& state) {
+  TransientJacobian tj(int(state.range(0)));
+  numeric::SparseFactor factor;
+  factor.factorize(tj.sm);
+  numeric::Vector x_out(tj.fx.n);
+  for (auto _ : state) {
+    factor.refactorize(tj.sm);
+    factor.solve(tj.b, x_out);
+    benchmark::DoNotOptimize(x_out.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["factor_nnz"] = double(factor.factor_nonzeros());
+  state.counters["matrix_nnz"] = double(tj.sm.nonzeros());
+}
+BENCHMARK(BM_TransientRefactor)
+    ->Arg(8)
+    ->Arg(32)
+    ->Arg(128)
+    ->Unit(benchmark::kMicrosecond);
+
+// Once per pattern: the full factorization of a fresh factor, column
+// ordering included.
+void BM_TransientFactorize(benchmark::State& state) {
+  TransientJacobian tj(int(state.range(0)));
+  std::size_t fill = 0;
+  for (auto _ : state) {
+    numeric::SparseFactor factor;
+    benchmark::DoNotOptimize(factor.factorize(tj.sm));
+    fill = factor.factor_nonzeros();
+  }
+  state.counters["factor_nnz"] = double(fill);
+  state.counters["matrix_nnz"] = double(tj.sm.nonzeros());
+}
+BENCHMARK(BM_TransientFactorize)
+    ->Arg(256)
+    ->Arg(1000)
+    ->Unit(benchmark::kMillisecond);
+
 // --- batch runner: Monte Carlo at several sample/thread counts ------------
 
 void BM_McClosedForm(benchmark::State& state) {

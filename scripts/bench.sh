@@ -11,6 +11,10 @@
 # For publishable numbers run without --smoke on an idle machine. The
 # headline comparisons are documented in docs/PERFORMANCE.md:
 #   BM_MnaAssemblyDense vs BM_MnaAssemblySparse  — per-Newton-iteration cost
+#   BM_TransientRefactor                         — transient refactor + solve,
+#                                                  unfolded (fill shows here)
+#   BM_TransientFactorize                        — full factorize incl. the
+#                                                  column order, large N
 #   BM_SsnTransient                              — end-to-end transient solve
 #   BM_MosfetStamp                               — one MOSFET stamp (device eval)
 #   BM_McClosedForm / BM_McSimBatch              — batch runner thread scaling

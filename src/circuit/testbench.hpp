@@ -80,14 +80,17 @@ struct SsnBench {
 
 SsnBench make_ssn_testbench(const SsnBenchSpec& spec);
 
-/// Names the circuit make_ssn_testbench builds and how its devices are
-/// linearized. Batch journals mix it into their configuration hash, so a
-/// journal written for another layout is refused instead of resuming into
-/// bits this build would not reproduce: the per-driver circuit used before
-/// drivers were folded (no token), and the folded circuit whose MOSFET
-/// Jacobians came from finite differences ("folded-drivers"). Either moves
-/// V_max in the last digits (typically ~1e-8 relative) by changing Newton's
-/// path.
-inline constexpr char kSsnBenchLayout[] = "folded-drivers+analytic-jacobians";
+/// Names the circuit make_ssn_testbench builds, how its devices are
+/// linearized and how its Jacobian is factored. Batch journals mix it into
+/// their configuration hash, so a journal written for another layout is
+/// refused instead of resuming into bits this build would not reproduce:
+/// the per-driver circuit used before drivers were folded (no token), the
+/// folded circuit whose MOSFET Jacobians came from finite differences
+/// ("folded-drivers"), and the analytic-Jacobian circuit factored in
+/// natural column order ("folded-drivers+analytic-jacobians"). Each moves
+/// V_max in the last digits (~1e-8 relative for the first two, ~1e-10 for
+/// the column order) by changing Newton's path or its rounding.
+inline constexpr char kSsnBenchLayout[] =
+    "folded-drivers+analytic-jacobians+amd-order";
 
 }  // namespace ssnkit::circuit

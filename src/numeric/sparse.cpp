@@ -7,14 +7,189 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <limits>
+#include <queue>
 #include <stdexcept>
+#include <utility>
 
 namespace ssnkit::numeric {
 
 namespace {
 constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
+
+/// Approximate-minimum-degree elimination order of the symmetric pattern
+/// of A + A^T (Amestoy, Davis & Duff, SIMAX 1996) for the n x n CSR
+/// pattern (rp, ci): order[k] is the column eliminated at step k.
+///
+/// The elimination runs on a quotient graph, so it never stores fill. A
+/// variable (uneliminated node) keeps the variables it still shares an
+/// entry of A + A^T with and the elements it belongs to. Eliminating pivot
+/// p turns it into an element whose members are its whole neighbourhood
+/// L_p, and absorbs every element p belonged to. Only L_p's degrees
+/// change, and each gets AMD's cheap upper bound on its true degree.
+/// Pivots come off a heap keyed by (degree, index): ties go to the lowest
+/// index and the order is deterministic. Nodes denser than
+/// max(16, 10 sqrt(n)) — the supply rails of a large unfolded circuit —
+/// stay out of the graph and are ordered last.
+///
+/// Storage is flat, so even a 7-unknown system costs a handful of
+/// allocations. A variable's lists live in its own slot of `adj`: its
+/// variables, then its elements. They never outgrow the slot, because a
+/// member of L_p always loses p (a variable neighbour) or an element
+/// absorbed into p when it gains p. Element member lists are appended to
+/// `members`, which grows by the sum of |L_p|.
+std::vector<std::size_t> amd_order(std::size_t n,
+                                   const std::vector<std::size_t>& rp,
+                                   const std::vector<std::size_t>& ci) {
+  enum class Kind : unsigned char { kVariable, kElement, kAbsorbed, kDense };
+  struct Node {
+    std::size_t start = 0;  // slot in adj
+    std::size_t vars = 0;   // variables at the slot's front,
+    std::size_t len = 0;    // then elements up to start + len
+    std::size_t degree = 0;
+    std::size_t first = 0, count = 0;  // an element's members
+    std::size_t in_lp = kNone;  // == p: in L_p, or is p
+    std::size_t seen = kNone;   // == p: outside holds |L_e \ L_p|
+    std::size_t outside = 0;
+    Kind kind = Kind::kVariable;
+  };
+  std::vector<Node> node(n);
+
+  // The off-diagonal pattern of A + A^T, one slot per node, duplicates
+  // dropped and dense nodes split off.
+  for (std::size_t r = 0; r < n; ++r)
+    for (std::size_t p = rp[r]; p < rp[r + 1]; ++p)
+      if (ci[p] != r) {
+        ++node[r].len;
+        ++node[ci[p]].len;
+      }
+  std::size_t total = 0;
+  for (Node& v : node) {
+    v.start = total;
+    total += v.len;
+    v.len = 0;
+  }
+  std::vector<std::size_t> adj(total);
+  for (std::size_t r = 0; r < n; ++r)
+    for (std::size_t p = rp[r]; p < rp[r + 1]; ++p)
+      if (const std::size_t c = ci[p]; c != r) {
+        adj[node[r].start + node[r].len++] = c;
+        adj[node[c].start + node[c].len++] = r;
+      }
+  const double dense = std::max(16.0, 10.0 * std::sqrt(double(n)));
+  for (std::size_t i = 0; i < n; ++i) {
+    Node& v = node[i];
+    std::size_t kept = v.start;
+    for (std::size_t q = v.start; q < v.start + v.len; ++q)
+      if (node[adj[q]].seen != i) {
+        node[adj[q]].seen = i;
+        adj[kept++] = adj[q];
+      }
+    v.len = kept - v.start;
+    if (double(v.len) > dense) v.kind = Kind::kDense;
+  }
+
+  std::vector<std::pair<std::size_t, std::size_t>> entries;  // (degree, node)
+  entries.reserve(2 * n);
+  std::size_t live = 0;  // variables not yet eliminated
+  for (std::size_t i = 0; i < n; ++i) {
+    Node& v = node[i];
+    v.seen = kNone;
+    if (v.kind != Kind::kVariable) continue;
+    std::size_t kept = v.start;
+    for (std::size_t q = v.start; q < v.start + v.len; ++q)
+      if (node[adj[q]].kind != Kind::kDense) adj[kept++] = adj[q];
+    v.len = v.vars = v.degree = kept - v.start;
+    entries.emplace_back(v.degree, i);
+    ++live;
+  }
+  std::priority_queue heap(std::greater<>{}, std::move(entries));
+
+  std::vector<std::size_t> members;
+  members.reserve(total);
+  std::vector<std::size_t> order;
+  order.reserve(n);
+  while (!heap.empty()) {
+    const auto [d, p] = heap.top();
+    heap.pop();
+    Node& np = node[p];
+    if (np.kind != Kind::kVariable || np.degree != d) continue;  // stale
+    order.push_back(p);
+    --live;
+
+    // L_p: p's variable neighbours plus the members of every element p is
+    // in; those elements are absorbed into the new element p.
+    const std::size_t first = members.size();
+    np.in_lp = p;
+    const auto take = [&](std::size_t i) {
+      if (node[i].in_lp == p) return;
+      node[i].in_lp = p;
+      members.push_back(i);
+    };
+    for (std::size_t q = np.start + np.vars; q < np.start + np.len; ++q) {
+      Node& e = node[adj[q]];
+      if (e.kind != Kind::kElement) continue;
+      for (std::size_t m = e.first; m < e.first + e.count; ++m) take(members[m]);
+      e.kind = Kind::kAbsorbed;
+    }
+    for (std::size_t q = np.start; q < np.start + np.vars; ++q) take(adj[q]);
+    np.kind = Kind::kElement;
+    np.first = first;
+    np.count = members.size() - first;
+    const std::size_t others = np.count - 1;  // |L_p| - 1 for a member
+
+    // |L_e \ L_p| for every other element e that shares members with L_p.
+    for (std::size_t m = first; m < first + np.count; ++m) {
+      const Node& v = node[members[m]];
+      for (std::size_t q = v.start + v.vars; q < v.start + v.len; ++q) {
+        Node& e = node[adj[q]];
+        if (e.kind != Kind::kElement) continue;
+        if (e.seen != p) {
+          e.seen = p;
+          e.outside = e.count;
+        }
+        --e.outside;
+      }
+    }
+
+    // Element p now covers every entry among L_p: prune those from each
+    // member's variables, absorb elements that lie inside L_p, add p, and
+    // bound the member's degree by
+    //   min(live - 1, old + |L_p| - 1, |A_i| + |L_p| - 1 + sum |L_e \ L_p|).
+    for (std::size_t m = first; m < first + np.count; ++m) {
+      Node& v = node[members[m]];
+      std::size_t w = v.start;
+      for (std::size_t q = v.start; q < v.start + v.vars; ++q)
+        if (node[adj[q]].in_lp != p) adj[w++] = adj[q];
+      const std::size_t vars = w - v.start;
+      std::size_t external = 0;
+      for (std::size_t q = v.start + v.vars; q < v.start + v.len; ++q) {
+        Node& e = node[adj[q]];
+        if (e.kind != Kind::kElement) continue;
+        if (e.outside == 0) {
+          e.kind = Kind::kAbsorbed;
+          continue;
+        }
+        external += e.outside;
+        adj[w++] = adj[q];
+      }
+      adj[w++] = p;
+      v.vars = vars;
+      v.len = w - v.start;
+      const std::size_t bound =
+          std::min({live - 1, v.degree + others, vars + others + external});
+      if (bound != v.degree) {
+        v.degree = bound;
+        heap.emplace(bound, members[m]);
+      }
+    }
+  }
+  for (std::size_t i = 0; i < n; ++i)
+    if (node[i].kind == Kind::kDense) order.push_back(i);
+  return order;
 }
+}  // namespace
 
 SparseMatrix::SparseMatrix(std::size_t rows, std::size_t cols)
     : rows_(rows), cols_(cols) {}
@@ -383,33 +558,51 @@ Matrix StampedMatrix::to_dense() const {
 
 // --- SparseFactor ------------------------------------------------------------
 
-bool SparseFactor::factorize(const StampedMatrix& a) {
-  SSN_REQUIRE(a.has_pattern(), "SparseFactor::factorize: pattern not finalized");
-  n_ = a.size();
-  epoch_ = a.epoch();
-  singular_ = false;
-  if (n_ == 0) return true;
-
-  // Column-compressed view of A's pattern with a gather map (csc_src_) back
-  // into the CSR values array, so refactorize never rebuilds the transpose.
+bool SparseFactor::pattern_matches(const StampedMatrix& a) const {
   const auto& rp = a.row_ptr();
   const auto& ci = a.col_idx();
+  if (a.size() != n_ || order_.size() != n_ || ci.size() != csc_row_.size())
+    return false;
+  // Every cached entry must sit at its recorded CSR slot; with equal counts
+  // and distinct slots that makes the two patterns identical.
+  for (std::size_t j = 0; j < n_; ++j)
+    for (std::size_t p = csc_ptr_[j]; p < csc_ptr_[j + 1]; ++p) {
+      const std::size_t r = csc_row_[p], s = csc_src_[p];
+      if (s < rp[r] || s >= rp[r + 1] || ci[s] != order_[j]) return false;
+    }
+  return true;
+}
+
+bool SparseFactor::factorize(const StampedMatrix& a) {
+  SSN_REQUIRE(a.has_pattern(), "SparseFactor::factorize: pattern not finalized");
+  epoch_ = a.epoch();
+  singular_ = false;
   const auto& vals = a.values();
-  const std::size_t nnz = ci.size();
-  csc_ptr_.assign(n_ + 1, 0);
-  csc_row_.resize(nnz);
-  csc_src_.resize(nnz);
-  for (std::size_t i = 0; i < nnz; ++i) csc_ptr_[ci[i] + 1]++;
-  for (std::size_t c = 0; c < n_; ++c) csc_ptr_[c + 1] += csc_ptr_[c];
-  {
+  if (!pattern_matches(a)) {
+    // New pattern: its column order, then a column-compressed copy in that
+    // order with a gather map (csc_src_) back into the CSR values array, so
+    // refactorize never rebuilds the transpose.
+    n_ = a.size();
+    const auto& rp = a.row_ptr();
+    const auto& ci = a.col_idx();
+    order_ = amd_order(n_, rp, ci);
+    std::vector<std::size_t> step(n_);  // original column -> elimination step
+    for (std::size_t j = 0; j < n_; ++j) step[order_[j]] = j;
+    const std::size_t nnz = ci.size();
+    csc_ptr_.assign(n_ + 1, 0);
+    csc_row_.resize(nnz);
+    csc_src_.resize(nnz);
+    for (std::size_t i = 0; i < nnz; ++i) csc_ptr_[step[ci[i]] + 1]++;
+    for (std::size_t j = 0; j < n_; ++j) csc_ptr_[j + 1] += csc_ptr_[j];
     std::vector<std::size_t> next(csc_ptr_.begin(), csc_ptr_.end() - 1);
     for (std::size_t r = 0; r < n_; ++r)
       for (std::size_t i = rp[r]; i < rp[r + 1]; ++i) {
-        const std::size_t dst = next[ci[i]]++;
+        const std::size_t dst = next[step[ci[i]]]++;
         csc_row_[dst] = r;
         csc_src_[dst] = i;
       }
   }
+  if (n_ == 0) return true;
 
   pat_.assign(n_, {});
   l_rows_.assign(n_, {});
@@ -505,7 +698,7 @@ bool SparseFactor::factorize(const StampedMatrix& a) {
       const double v = work_[t];
       work_[t] = 0.0;
       if (pinv_[t] != npos && pinv_[t] < j) {
-        u_rows_[j].push_back(pinv_[t]);
+        u_rows_[j].push_back(order_[pinv_[t]]);
         u_vals_[j].push_back(v);
       } else {
         l_rows_[j].push_back(t);
@@ -513,6 +706,8 @@ bool SparseFactor::factorize(const StampedMatrix& a) {
       }
     }
   }
+  row_slot_.resize(n_);
+  for (std::size_t k = 0; k < n_; ++k) row_slot_[perm_[k]] = order_[k];
   maybe_corrupt_factors();
   return true;
 }
@@ -603,20 +798,24 @@ void SparseFactor::solve(const Vector& b, Vector& x) const {
                                "singular matrix", std::move(diag));
   }
   x.resize(n_);
-  // Forward solve L y = P b in place (L unit-diagonal, column-wise with
-  // original row indices; pinv_ maps them to solve order).
-  for (std::size_t k = 0; k < n_; ++k) x[k] = b[perm_[k]];
+  // PAQ = LU: solve L U y = P b, then x = Q y. Pivot position k's value is
+  // kept at x[order_[k]] throughout, so the last sweep leaves x = Q y in
+  // place. Forward solve L z = P b (L unit-diagonal, column-wise with
+  // original row indices; row_slot_ maps a row to its position's index).
+  for (std::size_t r = 0; r < n_; ++r) x[row_slot_[r]] = b[r];
   for (std::size_t k = 0; k < n_; ++k) {
-    const double yk = x[k];
+    const double yk = x[order_[k]];
     if (yk == 0.0) continue;  // ssnlint-ignore(SSN-L001)
     const auto& lr = l_rows_[k];
     const auto& lv = l_vals_[k];
-    for (std::size_t q = 0; q < lr.size(); ++q) x[pinv_[lr[q]]] -= lv[q] * yk;
+    for (std::size_t q = 0; q < lr.size(); ++q)
+      x[row_slot_[lr[q]]] -= lv[q] * yk;
   }
-  // Backward solve U x = y (U column-wise, rows already permuted).
+  // Backward solve U y = z (U column-wise, rows stored at their index).
   for (std::size_t jj = n_; jj-- > 0;) {
-    x[jj] /= u_diag_[jj];
-    const double yj = x[jj];
+    double& xj = x[order_[jj]];
+    xj /= u_diag_[jj];
+    const double yj = xj;
     if (yj == 0.0) continue;  // ssnlint-ignore(SSN-L001)
     const auto& ur = u_rows_[jj];
     const auto& uv = u_vals_[jj];
@@ -633,30 +832,30 @@ void SparseFactor::solve_transpose(const Vector& b, Vector& x) const {
                                "singular matrix", std::move(diag));
   }
   x.resize(n_);
-  // A^T = U^T L^T P. Step 1: U^T z = b, ascending — U's columns are indexed
-  // by unknown j with row entries at pivot positions strictly below j, so
-  // U^T is lower triangular in (unknown -> pivot-position) space:
-  //   z_j = (b_j - sum_{k in U col j} u_kj z_k) / u_jj.
+  // A^T = Q U^T L^T P. w keeps pivot position k's value at w[order_[k]],
+  // as solve() does. Step 1: U^T z = Q^T b, ascending — U's column j holds
+  // entries at pivot positions k < j, so U^T is lower triangular:
+  //   z_j = (b[order_[j]] - sum_{k in U col j} u_kj z_k) / u_jj.
   std::vector<double> w(n_);
   for (std::size_t j = 0; j < n_; ++j) {
-    double acc = b[j];
+    const std::size_t c = order_[j];
+    double acc = b[c];
     const auto& ur = u_rows_[j];
     const auto& uv = u_vals_[j];
     for (std::size_t q = 0; q < ur.size(); ++q) acc -= uv[q] * w[ur[q]];
-    w[j] = acc / u_diag_[j];
+    w[c] = acc / u_diag_[j];
   }
-  // Step 2: L^T w = z, descending — L's column k holds entries at pivot
+  // Step 2: L^T v = z, descending — L's column k holds entries at pivot
   // positions pinv_[row] > k, so L^T row k subtracts already-solved
-  // positions: w_k -= sum_q l_vals[q] * w[pinv_[l_rows[q]]].
+  // positions: v_k -= sum_q l_vals[q] * v[pinv_[l_rows[q]]].
   for (std::size_t k = n_; k-- > 0;) {
-    double acc = w[k];
+    double& wk = w[order_[k]];
     const auto& lr = l_rows_[k];
     const auto& lv = l_vals_[k];
-    for (std::size_t q = 0; q < lr.size(); ++q) acc -= lv[q] * w[pinv_[lr[q]]];
-    w[k] = acc;
+    for (std::size_t q = 0; q < lr.size(); ++q) wk -= lv[q] * w[row_slot_[lr[q]]];
   }
-  // Step 3: x = P^T w, i.e. x[perm_[k]] = w[k].
-  for (std::size_t k = 0; k < n_; ++k) x[perm_[k]] = w[k];
+  // Step 3: x = P^T v: row r takes its pivot position's value.
+  for (std::size_t r = 0; r < n_; ++r) x[r] = w[row_slot_[r]];
 }
 
 void SparseFactor::refine(const StampedMatrix& a, const Vector& b, Vector& x,

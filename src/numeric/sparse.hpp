@@ -4,8 +4,9 @@
 // stamps the same coordinate set at every Newton iteration, only the
 // values change. The engine exploits that with StampedMatrix (a cached
 // "stamp plan": discover the pattern once, then stamp values straight
-// into a reusable CSR workspace) and SparseFactor (symbolic analysis and
-// pivot order computed once, numeric-only refactorization per iteration).
+// into a reusable CSR workspace) and SparseFactor (fill-reducing column
+// order, symbolic analysis and pivot order computed once, numeric-only
+// refactorization per iteration).
 //
 // SparseMatrix/SparseLu are the original one-shot triplet/CSR classes,
 // kept for tests and callers that factor a matrix once.
@@ -167,14 +168,24 @@ class StampedMatrix {
 /// Newton iterations and timesteps, the engine factorizes once per pattern
 /// epoch and refactorizes everywhere else; solve() is allocation-free.
 ///
+/// Columns are eliminated in an approximate-minimum-degree order Q of the
+/// pattern of A + A^T (the ordering half of KLU), so P A Q = L U with row
+/// pivots P chosen by magnitude inside each ordered column. Natural order
+/// would eliminate an MNA hub node (a supply rail every driver touches)
+/// first and fill the factors quadratically in the driver count. The order
+/// depends only on the pattern: factorize() computes it once and keeps it
+/// while the pattern is unchanged, so re-pivoting a degraded factorization
+/// on the same epoch costs no ordering.
+///
 /// Unlike SparseLu, exact-zero entries are kept in the stored pattern so a
 /// later refactorization with different values cannot silently lose fill.
 class SparseFactor {
  public:
   SparseFactor() = default;
 
-  /// Full factorization: symbolic analysis + pivoting + numerics.
-  /// Returns false (and singular() == true) on a singular system.
+  /// Full factorization: column order (unless the pattern is unchanged),
+  /// symbolic analysis, pivoting and numerics. Returns false (and
+  /// singular() == true) on a singular system.
   bool factorize(const StampedMatrix& a);
 
   /// Numeric-only refactorization reusing the previous pivot order and
@@ -194,12 +205,13 @@ class SparseFactor {
   /// allocation). Throws support::SolverError when singular.
   void solve(const Vector& b, Vector& x) const;
 
-  /// Solve A^T x = b using the same factors (PA = LU gives
-  /// A^T = U^T L^T P, so one ascending U^T sweep, one descending L^T
-  /// sweep, and the row permutation on the way out). Needed by the Hager
-  /// 1-norm condition estimator, which alternates A and A^T solves; it runs
-  /// once per factorization epoch, never per accepted step, so the local
-  /// scratch vector here is off the hot path. Throws when singular.
+  /// Solve A^T x = b using the same factors (PAQ = LU gives
+  /// A^T = Q U^T L^T P, so the column order on the way in, one ascending
+  /// U^T sweep, one descending L^T sweep, and the row permutation on the
+  /// way out). Needed by the Hager 1-norm condition estimator, which
+  /// alternates A and A^T solves; it runs once per factorization epoch,
+  /// never per accepted step, so the local work vector here is off the
+  /// hot path. Throws when singular.
   void solve_transpose(const Vector& b, Vector& x) const;
 
   /// One step of iterative refinement against the currently stamped values:
@@ -219,24 +231,33 @@ class SparseFactor {
   /// layer's residual check must catch. Compiled to nothing elsewhere.
   void maybe_corrupt_factors();
 
+  /// True when order_ and the column-compressed copy were built for
+  /// exactly `a`'s pattern (checked entry by entry, O(nnz)).
+  bool pattern_matches(const StampedMatrix& a) const;
+
   std::size_t n_ = 0;
   std::size_t epoch_ = npos;
   bool singular_ = true;
-  // Column-compressed copy of A's pattern; csc_src_[p] indexes into the
-  // StampedMatrix CSR values array so refactorize can gather without
-  // rebuilding the transpose.
+  // Elimination step j -> original column (unknown) order_[j].
+  std::vector<std::size_t> order_;
+  // Column-compressed copy of A's pattern with its columns in elimination
+  // order (column j of the copy is A's column order_[j]); csc_src_[p]
+  // indexes into the StampedMatrix CSR values array so refactorize can
+  // gather without rebuilding the transpose.
   std::vector<std::size_t> csc_ptr_, csc_row_, csc_src_;
   // Per-column elimination pattern in topological order (original row
   // indices, as discovered by the symbolic DFS at factorize time).
   std::vector<std::vector<std::size_t>> pat_;
-  // Column-major factors: L has unit diagonal (not stored); row indices
-  // are original (unpermuted) for L, pivot positions for U.
+  // Column-major factors: L has unit diagonal (not stored). L's row
+  // indices are original rows; U's are the unknown order_[k] of pivot
+  // position k, the index where the solves keep position k's value.
   std::vector<std::vector<std::size_t>> l_rows_, u_rows_;
   std::vector<std::vector<double>> l_vals_, u_vals_;
   std::vector<double> u_diag_;
-  std::vector<std::size_t> perm_;  // pivot position -> original row
-  std::vector<std::size_t> pinv_;  // original row -> pivot position
-  std::vector<double> work_;       // scatter workspace (kept zeroed)
+  std::vector<std::size_t> perm_;      // pivot position -> original row
+  std::vector<std::size_t> pinv_;      // original row -> pivot position
+  std::vector<std::size_t> row_slot_;  // original row r -> order_[pinv_[r]]
+  std::vector<double> work_;           // scatter workspace (kept zeroed)
 };
 
 }  // namespace ssnkit::numeric

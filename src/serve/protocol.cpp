@@ -161,9 +161,11 @@ std::string cache_key_string(const ServeRequest& r) {
   // batch_config_hash): "the same request" means the same IEEE values.
   // v2: simulated results come from the folded testbench, whose V_max bits
   // differ from v1's per-driver circuit. v3: the MOSFETs stamp analytic
-  // Jacobians, which changes Newton's path and so v2's last digits. Spill
-  // entries under an older prefix never hit.
-  std::string s = "serve-v3|";
+  // Jacobians, which changes Newton's path and so v2's last digits. v4: the
+  // sparse LU eliminates columns in a minimum-degree order, which rounds
+  // v3's last bits differently. Spill entries under an older prefix never
+  // hit.
+  std::string s = "serve-v4|";
   s += r.cmd;
   s += '|';
   s += r.tech;

@@ -798,13 +798,18 @@ TransientRun run_transient_ex(Circuit& ckt, const TransientOptions& opts) {
     }
   }
 
+  const bool final_factor = ws.a.has_pattern() && !ws.lu.singular() &&
+                            ws.lu.pattern_epoch() == ws.a.epoch();
+  if (final_factor) {
+    result.stats.matrix_nonzeros = ws.a.nonzeros();
+    result.stats.factor_nonzeros = ws.lu.factor_nonzeros();
+  }
   // Once per run (never per step): the Hager 1-norm condition estimate of
   // the final factorized system. A quietly ill-conditioned package matrix
   // can pass every residual check yet carry a forward error far beyond the
   // paper's 3 % bar — that is a trust downgrade, not a solver failure.
   if (opts.verify.enabled) {
-    if (ws.a.has_pattern() && !ws.lu.singular() &&
-        ws.lu.pattern_epoch() == ws.a.epoch()) {
+    if (final_factor) {
       const double cond = verify::condest_1norm(ws.a, ws.lu);
       result.stats.condition_estimate = cond;
       result.trust.cond_estimate = cond;

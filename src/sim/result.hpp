@@ -27,6 +27,9 @@ struct SolverStats {
   std::size_t residual_refinements = 0;  ///< iterative-refinement rescues
   double worst_scaled_residual = 0.0;    ///< max over accepted steps
   double condition_estimate = 0.0;       ///< Hager estimate; 0 = not run
+  // The run's final transient factorization; factor / matrix is the fill.
+  std::size_t matrix_nonzeros = 0;  ///< stored Jacobian entries
+  std::size_t factor_nonzeros = 0;  ///< stored L + U entries
 };
 
 class TransientResult {

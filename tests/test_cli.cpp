@@ -136,11 +136,12 @@ TEST(Cli, SweepNEmitsCsv) {
 
 TEST(Cli, ResumeRefusesJournalFromThePerDriverLayout) {
   // A journal written before drivers were folded holds the per-driver
-  // circuit's V_max bits, and one written before the MOSFETs stamped
-  // analytic Jacobians holds the bits of another Newton path (either
-  // typically ~1e-8 relative away from this build's). Resuming from it
-  // would splice them into this run. Its configuration hash carries no
-  // layout token or the older one, so the resume fails as a mismatch.
+  // circuit's V_max bits, one written before the MOSFETs stamped analytic
+  // Jacobians holds the bits of another Newton path (either typically ~1e-8
+  // relative away from this build's), and one written before the LU's
+  // minimum-degree column order holds differently rounded bits. Resuming
+  // from it would splice them into this run. Its configuration hash carries
+  // no layout token or an older one, so the resume fails as a mismatch.
   using namespace ssnkit;
   const auto tech = process::tech_180nm();
   const auto pkg = process::package_pga();
@@ -154,7 +155,8 @@ TEST(Cli, ResumeRefusesJournalFromThePerDriverLayout) {
         support::hex_u64(support::double_bits(0.1e-9)) + "|c|4|12345";
     return "config " + support::hex_u64(support::fnv1a(s));
   };
-  for (const std::string old_layout : {"", "folded-drivers|"}) {
+  for (const std::string old_layout :
+       {"", "folded-drivers|", "folded-drivers+analytic-jacobians|"}) {
     SCOPED_TRACE("layout token '" + old_layout + "'");
     const std::string path = testing::TempDir() + "cli_layout_journal.txt";
     std::remove(path.c_str());

@@ -537,16 +537,18 @@ TEST(ServeServer, CacheSpillWarmsARestartedServer) {
 
 TEST(ServeServer, SpillFromThePerDriverLayoutNeverHits) {
   // A spill written before drivers were folded holds per-driver simulated
-  // results under "serve-v1|" keys, and one written before the MOSFETs
-  // stamped analytic Jacobians holds another Newton path's bits under
-  // "serve-v2|". Re-key this build's own spill entry the way each of those
-  // builds did: it still loads, but the request must recompute.
+  // results under "serve-v1|" keys, one written before the MOSFETs stamped
+  // analytic Jacobians holds another Newton path's bits under "serve-v2|",
+  // and one written before the LU's minimum-degree column order holds
+  // differently rounded bits under "serve-v3|". Re-key this build's own
+  // spill entry the way each of those builds did: it still loads, but the
+  // request must recompute.
   const std::string line =
       R"({"id":"v1","cmd":"estimate","sim":true,"n":6,"tr":1e-10})";
   const auto parsed = parse_request(line);
   ASSERT_TRUE(parsed.ok);
-  const std::string current_prefix = "serve-v3|";
-  for (const char* old_prefix : {"serve-v1|", "serve-v2|"}) {
+  const std::string current_prefix = "serve-v4|";
+  for (const char* old_prefix : {"serve-v1|", "serve-v2|", "serve-v3|"}) {
     SCOPED_TRACE(old_prefix);
     const std::string path = temp_path("serve_server_old_spill");
     std::remove(path.c_str());
