@@ -1,9 +1,9 @@
 // Performance microbenchmarks (google-benchmark): the cost profile that
 // makes the paper's closed forms attractive — a Table 1 evaluation is
 // nanoseconds while a single transient simulation is milliseconds — plus
-// the solver hot-path suite (sparse stamping vs the old dense assembly,
-// transient solves at several sizes, Monte Carlo batches at several thread
-// counts). scripts/bench.sh runs this binary and emits BENCH_perf.json.
+// the solver hot-path suite (sparse stamping and refactorization, transient
+// solves at several sizes, Monte Carlo batches at several thread counts).
+// scripts/bench.sh runs this binary and emits BENCH_perf.json.
 #include "analysis/calibrate.hpp"
 #include "analysis/measure.hpp"
 #include "analysis/montecarlo.hpp"
@@ -146,11 +146,8 @@ BENCHMARK(BM_SsnTransientUnverified)
 
 // --- solver hot path: one Newton iteration's linear-algebra cost ----------
 //
-// Dense is the pre-stamped-workspace path: zero an n*n matrix, stamp,
-// convert to CSR, run a full sparse LU (fresh symbolic analysis + pivoting)
-// and solve. Sparse is the engine's current path: stamp into the cached
-// CSR pattern and numerically refactorize on the frozen pivot order. The
-// ratio of these two is the per-iteration speedup of the rewrite.
+// The engine's path: stamp into the cached CSR pattern, numerically
+// refactorize on the frozen pivot order, and solve.
 
 struct AssemblyFixture {
   circuit::SsnBench bench;
@@ -170,29 +167,6 @@ struct AssemblyFixture {
     n = std::size_t(bench.circuit.unknown_count());
   }
 };
-
-void BM_MnaAssemblyDense(benchmark::State& state) {
-  AssemblyFixture fx(int(state.range(0)));
-  numeric::Matrix a(fx.n, fx.n);
-  numeric::Vector b(fx.n);
-  for (auto _ : state) {
-    a.fill(0.0);
-    b.fill(0.0);
-    circuit::StampContext ctx;
-    ctx.mode = circuit::AnalysisMode::kDc;
-    ctx.x = &fx.x;
-    ctx.a = &a;
-    ctx.b = &b;
-    for (const auto& el : fx.bench.circuit.elements()) el->stamp(ctx);
-    numeric::SparseLu lu(numeric::SparseMatrix::from_dense(a));
-    benchmark::DoNotOptimize(lu.solve(b));
-  }
-}
-BENCHMARK(BM_MnaAssemblyDense)
-    ->Arg(4)
-    ->Arg(12)
-    ->Arg(24)
-    ->Unit(benchmark::kMicrosecond);
 
 void BM_MnaAssemblySparse(benchmark::State& state) {
   AssemblyFixture fx(int(state.range(0)));

@@ -10,7 +10,9 @@
 #
 # For publishable numbers run without --smoke on an idle machine. The
 # headline comparisons are documented in docs/PERFORMANCE.md:
-#   BM_MnaAssemblyDense vs BM_MnaAssemblySparse  — per-Newton-iteration cost
+#   BM_MnaAssemblySparse                         — per-Newton-iteration cost
+#                                                  (stamp, refactorize, solve)
+#   BM_LuSolve                                   — dense LU baseline
 #   BM_TransientRefactor                         — transient refactor + solve,
 #                                                  unfolded (fill shows here)
 #   BM_TransientFactorize                        — full factorize incl. the

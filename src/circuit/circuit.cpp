@@ -132,12 +132,6 @@ int Circuit::finalize() {
   return unknown_count();
 }
 
-int Circuit::voltage_index(NodeId n) const {
-  if (n <= kGround || n >= node_count())
-    throw std::invalid_argument("Circuit::voltage_index: not a non-ground node");
-  return n - 1;
-}
-
 int Circuit::branch_unknown_index(const Element& e) const {
   if (e.branch_count() == 0)
     throw std::invalid_argument("Circuit::branch_unknown_index: element '" +

@@ -65,8 +65,6 @@ class Circuit {
   int branch_count() const { return branch_total_; }
   int unknown_count() const { return node_count() - 1 + branch_total_; }
 
-  /// Unknown index of a node voltage (node must not be ground).
-  int voltage_index(NodeId n) const;
   /// Unknown index of an element's branch current; the element must own a
   /// branch (throws std::invalid_argument otherwise).
   int branch_unknown_index(const Element& e) const;

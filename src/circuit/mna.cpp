@@ -39,11 +39,6 @@ void StampContext::stamp_jacobian(NodeId row_node, NodeId col_node,
   add_a(std::size_t(row_node - 1), std::size_t(col_node - 1), g);
 }
 
-void StampContext::stamp_rhs(NodeId node, double value) const {
-  if (node == kGround) return;
-  (*b)[std::size_t(node - 1)] += value;
-}
-
 void StampContext::stamp_branch_incidence(int node_count, int branch, NodeId p,
                                           NodeId m) const {
   const std::size_t row = std::size_t(branch_row(node_count, branch));
@@ -53,13 +48,6 @@ void StampContext::stamp_branch_incidence(int node_count, int branch, NodeId p,
   // Branch equation voltage terms v(p) - v(m).
   if (p != kGround) add_a(row, std::size_t(p - 1), 1.0);
   if (m != kGround) add_a(row, std::size_t(m - 1), -1.0);
-}
-
-void StampContext::stamp_branch_voltage(int node_count, int branch,
-                                        NodeId col_node, double coeff) const {
-  if (col_node == kGround) return;
-  add_a(std::size_t(branch_row(node_count, branch)), std::size_t(col_node - 1),
-        coeff);
 }
 
 void StampContext::stamp_branch_current_coeff(int node_count, int branch,

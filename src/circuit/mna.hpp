@@ -77,8 +77,6 @@ struct StampContext {
                   double g) const;
   /// Jacobian entry dI(row_node)/dV(col_node) += g.
   void stamp_jacobian(NodeId row_node, NodeId col_node, double g) const;
-  /// RHS entry for a node's KCL row.
-  void stamp_rhs(NodeId node, double value) const;
 
   // --- branch-row helpers (row = node_count-1+branch) ----------------------
   int branch_row(int node_count, int branch) const {
@@ -88,9 +86,6 @@ struct StampContext {
   /// node `p`, into node `m`; plus the voltage terms in the branch row.
   void stamp_branch_incidence(int node_count, int branch, NodeId p,
                               NodeId m) const;
-  /// Coefficient of unknown `col_node` voltage in the branch row.
-  void stamp_branch_voltage(int node_count, int branch, NodeId col_node,
-                            double coeff) const;
   /// Coefficient of the branch current itself in the branch row.
   void stamp_branch_current_coeff(int node_count, int branch,
                                   double coeff) const;

@@ -31,18 +31,6 @@ std::unique_ptr<MosfetModel> ScaledMosfetModel::clone() const {
   return std::make_unique<ScaledMosfetModel>(inner_->clone(), factor_);
 }
 
-double smooth_relu(double x, double eps) {
-  if (eps <= 0.0) throw std::invalid_argument("smooth_relu: eps must be > 0");
-  // 0.5*(x + sqrt(x^2 + 4 eps^2)): equals eps at x = 0, asymptotes to x and
-  // to eps^2/|x| on the two sides.
-  return 0.5 * (x + std::sqrt(x * x + 4.0 * eps * eps));
-}
-
-double smooth_relu_deriv(double x, double eps) {
-  if (eps <= 0.0) throw std::invalid_argument("smooth_relu_deriv: eps must be > 0");
-  return 0.5 * (1.0 + x / std::sqrt(x * x + 4.0 * eps * eps));
-}
-
 double softplus(double x, double eps) {
   return softplus_with_slope(x, eps).value;
 }

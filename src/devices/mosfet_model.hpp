@@ -61,23 +61,18 @@ class ScaledMosfetModel final : public MosfetModel {
   double factor_;
 };
 
-/// Smooth rectifier: ->0 for x << 0, ->x for x >> 0, C-infinity everywhere.
-/// Used by the device models to keep Newton iterations differentiable
-/// across the off/on boundary. `eps` sets the blending width in volts.
-double smooth_relu(double x, double eps);
-
-/// Derivative of smooth_relu with respect to x.
-double smooth_relu_deriv(double x, double eps);
-
 /// A function's value and its derivative at one point.
 struct ValueSlope {
   double value = 0.0;
   double slope = 0.0;
 };
 
-/// Softplus rectifier eps*log(1+exp(x/eps)): like smooth_relu but with an
-/// exponentially vanishing off-tail (smooth_relu decays only as eps^2/|x|,
-/// which leaks visible current through gigaohm-scale anchors).
+/// Softplus rectifier eps*log(1+exp(x/eps)): ->0 for x << 0, ->x for
+/// x >> 0, C-infinity everywhere. Used by the device models to keep Newton
+/// iterations differentiable across the off/on boundary; `eps` sets the
+/// blending width in volts. Its off-tail vanishes exponentially (an
+/// algebraic rectifier's decays only as eps^2/|x|, which leaks visible
+/// current through gigaohm-scale anchors).
 double softplus(double x, double eps);
 
 /// softplus and its derivative (the logistic function) from one exp.

@@ -2,10 +2,7 @@
 
 #include "support/atomic_file.hpp"
 
-#include <cmath>
-#include <fstream>
 #include <ostream>
-#include <set>
 #include <sstream>
 #include <stdexcept>
 
@@ -50,179 +47,5 @@ void CsvWriter::write_file(const std::string& path) const {
   write(buffer);
   support::write_file_atomic(path, buffer.str());
 }
-
-// ---------------------------------------------------------------------------
-// CsvReader
-// ---------------------------------------------------------------------------
-
-namespace {
-
-/// Abort-class guard violation (mirrors the netlist parser's AbortParse).
-struct AbortRead {};
-
-std::string trimmed(const std::string& s, std::size_t* lead = nullptr) {
-  std::size_t b = s.find_first_not_of(" \t");
-  if (b == std::string::npos) {
-    if (lead) *lead = s.size();
-    return {};
-  }
-  const std::size_t e = s.find_last_not_of(" \t");
-  if (lead) *lead = b;
-  return s.substr(b, e - b + 1);
-}
-
-}  // namespace
-
-CsvReader::Table CsvReader::read(std::istream& is, DiagnosticSink& sink,
-                                 const std::string& filename) const {
-  Table table;
-  std::size_t total_bytes = 0;
-  int line_no = 0;
-  bool header_seen = false;
-
-  const auto loc = [&](int col) {
-    return support::SrcLoc{filename, line_no, col};
-  };
-  const auto guard = [&](const std::string& msg, int col,
-                         const std::string& excerpt) {
-    sink.error(loc(col), "SSN-E030", msg, {}, excerpt);
-    throw AbortRead{};
-  };
-
-  // Split a raw line at commas, reporting each field with its 1-based
-  // starting column. Recoverable errors throw AbortField.
-  struct Field {
-    std::string text;
-    int col = 0;
-  };
-  const auto split = [&](const std::string& raw) {
-    std::vector<Field> fields;
-    std::size_t start = 0;
-    while (true) {
-      const std::size_t comma = raw.find(',', start);
-      const std::size_t end = comma == std::string::npos ? raw.size() : comma;
-      std::size_t lead = 0;
-      std::string cell = trimmed(raw.substr(start, end - start), &lead);
-      fields.push_back({std::move(cell), int(start + lead) + 1});
-      if (comma == std::string::npos) break;
-      start = comma + 1;
-    }
-    if (fields.size() > limits_.max_columns)
-      guard("row has " + std::to_string(fields.size()) +
-                " columns, over the " + std::to_string(limits_.max_columns) +
-                " limit",
-            1, raw);
-    return fields;
-  };
-
-  std::string raw;
-  try {
-    while (std::getline(is, raw)) {
-      ++line_no;
-      if (!raw.empty() && raw.back() == '\r') raw.pop_back();
-      total_bytes += raw.size() + 1;
-      if (total_bytes > limits_.max_input_bytes)
-        guard("input exceeds the " + std::to_string(limits_.max_input_bytes) +
-                  " byte limit",
-              0, {});
-      if (raw.size() > limits_.max_line_length)
-        guard("line is " + std::to_string(raw.size()) +
-                  " characters, over the " +
-                  std::to_string(limits_.max_line_length) + " limit",
-              0, {});
-      if (trimmed(raw).empty()) continue;  // blank lines are tolerated
-
-      const auto quote = raw.find('"');
-      if (quote != std::string::npos) {
-        sink.error(loc(int(quote) + 1), "SSN-E060",
-                   "quoted fields are not supported (the writer never "
-                   "produces them)",
-                   "\"", raw);
-        if (sink.overflowed()) throw AbortRead{};
-        continue;
-      }
-
-      const auto fields = split(raw);
-
-      if (!header_seen) {
-        header_seen = true;
-        std::set<std::string> names;
-        bool ok = true;
-        for (const Field& f : fields) {
-          if (f.text.empty()) {
-            sink.error(loc(f.col), "SSN-E060", "empty column name in header",
-                       {}, raw);
-            ok = false;
-          } else if (!names.insert(f.text).second) {
-            sink.warning(loc(f.col), "SSN-W107",
-                         "duplicate column name '" + f.text + "'", f.text,
-                         raw);
-          }
-        }
-        if (sink.overflowed()) throw AbortRead{};
-        if (ok)
-          for (const Field& f : fields) table.headers.push_back(f.text);
-        continue;
-      }
-
-      bool row_ok = true;
-      if (fields.size() != table.headers.size()) {
-        sink.error(loc(1), "SSN-E062",
-                   "row has " + std::to_string(fields.size()) +
-                       " fields, header has " +
-                       std::to_string(table.headers.size()),
-                   {}, raw);
-        row_ok = false;
-      }
-      std::vector<double> row;
-      row.reserve(fields.size());
-      for (const Field& f : fields) {
-        if (f.text.empty()) {
-          sink.error(loc(f.col), "SSN-E060", "empty field", {}, raw);
-          row_ok = false;
-          continue;
-        }
-        const NumberParse p = parse_double_prefix(f.text);
-        if (!p.ok || p.consumed != f.text.size()) {
-          sink.error(loc(f.col), "SSN-E061",
-                     "field '" + f.text + "' is not a decimal number" +
-                         (p.ok ? "" : ": " + p.error),
-                     f.text, raw);
-          row_ok = false;
-          continue;
-        }
-        row.push_back(p.value);
-      }
-      if (sink.overflowed()) throw AbortRead{};
-      if (row_ok) table.rows.push_back(std::move(row));
-    }
-  } catch (const AbortRead&) {
-    // Guard diagnostic is already in the sink; return the partial table.
-  }
-  if (!header_seen)
-    sink.error(support::SrcLoc{filename, 0, 0}, "SSN-E060",
-               "input has no header row");
-  return table;
-}
-
-CsvReader::Table CsvReader::read_string(const std::string& text,
-                                        DiagnosticSink& sink,
-                                        const std::string& filename) const {
-  std::istringstream iss(text);
-  return read(iss, sink, filename);
-}
-
-CsvReader::Table CsvReader::read_file(const std::string& path) const {
-  std::ifstream in(path);
-  if (!in)
-    throw IoError(IoError::Kind::kOpenFailed, path, "cannot open for reading");
-  DiagnosticSink sink(limits_.max_errors);
-  Table table = read(in, sink, path);
-  if (in.bad())
-    throw IoError(IoError::Kind::kReadFailed, path, "stream failed mid-read");
-  if (sink.has_errors()) throw ParseError(sink);
-  return table;
-}
-
 
 }  // namespace ssnkit::io

@@ -1,7 +1,5 @@
-// CSV output for sweep results and waveforms, so the bench harness data can
-// be re-plotted with any external tool — plus the round-trip reader, so
-// previously written sweeps can be loaded back (and so the fuzzer has a
-// second text-input boundary to lean on).
+// CSV output for the bench harnesses: the figure benches write their data
+// here so it can be re-plotted with any external tool.
 #pragma once
 
 #include "io/diagnostics.hpp"
@@ -33,52 +31,6 @@ class CsvWriter {
  private:
   std::vector<std::string> headers_;
   std::vector<std::vector<double>> rows_;
-};
-
-/// Resource guards for CsvReader (violations are SSN-E030 and abort the
-/// read — same contract as circuit::ParseLimits).
-struct CsvLimits {
-  std::size_t max_input_bytes = 64u << 20;  ///< whole-file cap (64 MiB)
-  std::size_t max_line_length = 1u << 16;   ///< longest raw line
-  std::size_t max_columns = 4096;
-  std::size_t max_errors = 64;
-};
-
-/// Round-trip counterpart of CsvWriter: a header line of column names, then
-/// numeric rows. Strict by design — no quoting, no empty fields, decimal
-/// numbers only (the writer never produces anything else) — and it runs in
-/// error-recovery mode: every malformed cell in the file is diagnosed with
-/// line/column in one pass.
-///
-/// Diagnostic codes:
-///   SSN-E060  structural error (empty header, '"' seen, empty field)
-///   SSN-E061  field is not a finite decimal number
-///   SSN-E062  row width does not match the header
-///   SSN-E030  resource guard (input size, line length, column count)
-///   SSN-W107  duplicate column name
-class CsvReader {
- public:
-  struct Table {
-    std::vector<std::string> headers;
-    std::vector<std::vector<double>> rows;
-  };
-
-  explicit CsvReader(CsvLimits limits = {}) : limits_(limits) {}
-
-  /// Error-recovery read: never throws; malformed rows are skipped and
-  /// diagnosed in `sink`. The returned table holds every clean row (it is
-  /// only trustworthy when !sink.has_errors()).
-  Table read(std::istream& is, DiagnosticSink& sink,
-             const std::string& filename = "<csv>") const;
-  Table read_string(const std::string& text, DiagnosticSink& sink,
-                    const std::string& filename = "<string>") const;
-
-  /// Throwing convenience: IoError{kOpenFailed} when the file cannot be
-  /// read, ParseError carrying every diagnostic when the content is bad.
-  Table read_file(const std::string& path) const;
-
- private:
-  CsvLimits limits_;
 };
 
 }  // namespace ssnkit::io

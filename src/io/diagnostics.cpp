@@ -105,13 +105,6 @@ void DiagnosticSink::warning(support::SrcLoc loc, std::string code,
        std::move(token), std::move(excerpt)});
 }
 
-void DiagnosticSink::note(support::SrcLoc loc, std::string code,
-                          std::string message, std::string token,
-                          std::string excerpt) {
-  add({Severity::kNote, std::move(loc), std::move(code), std::move(message),
-       std::move(token), std::move(excerpt)});
-}
-
 std::string DiagnosticSink::format_all() const {
   std::string s;
   for (const Diagnostic& d : diags_) {

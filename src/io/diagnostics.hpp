@@ -79,8 +79,6 @@ class DiagnosticSink {
              std::string token = {}, std::string excerpt = {});
   void warning(support::SrcLoc loc, std::string code, std::string message,
                std::string token = {}, std::string excerpt = {});
-  void note(support::SrcLoc loc, std::string code, std::string message,
-            std::string token = {}, std::string excerpt = {});
 
   bool has_errors() const { return error_count_ > 0; }
   /// True once the error cap was hit (collection gave up early).

@@ -30,8 +30,6 @@ void TextTable::add_row(const std::vector<double>& cells, int precision) {
   add_row(std::move(formatted));
 }
 
-void TextTable::print(std::ostream& os) const { os << to_string(); }
-
 std::string TextTable::to_string() const {
   std::vector<std::size_t> widths(headers_.size());
   for (std::size_t c = 0; c < headers_.size(); ++c) widths[c] = headers_[c].size();

@@ -2,7 +2,6 @@
 // figures/tables as rows through this.
 #pragma once
 
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -19,7 +18,6 @@ class TextTable {
 
   std::size_t row_count() const { return rows_.size(); }
 
-  void print(std::ostream& os) const;
   std::string to_string() const;
 
  private:

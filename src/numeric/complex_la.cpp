@@ -5,7 +5,6 @@
 
 #include <cmath>
 #include <limits>
-#include <stdexcept>
 #include <utility>
 
 namespace ssnkit::numeric {
@@ -14,25 +13,8 @@ void CVector::fill(Complex value) {
   for (auto& x : data_) x = value;
 }
 
-double CVector::norm_inf() const {
-  double acc = 0.0;
-  for (const auto& x : data_) acc = std::max(acc, std::abs(x));
-  return acc;
-}
-
 void CMatrix::fill(Complex value) {
   for (auto& x : data_) x = value;
-}
-
-CVector CMatrix::mul(const CVector& x) const {
-  if (x.size() != cols_) throw std::invalid_argument("CMatrix::mul: size mismatch");
-  CVector y(rows_);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    Complex acc{};
-    for (std::size_t c = 0; c < cols_; ++c) acc += (*this)(r, c) * x[c];
-    y[r] = acc;
-  }
-  return y;
 }
 
 CLuFactorization::CLuFactorization(CMatrix a) : lu_(std::move(a)) {
@@ -88,11 +70,6 @@ CVector CLuFactorization::solve(const CVector& b) const {
     y[ii] /= lu_(ii, ii);
   }
   return y;
-}
-
-CVector solve_linear(CMatrix a, const CVector& b) {
-  SSN_REQUIRE(a.rows() == b.size(), "solve_linear: shape mismatch");
-  return CLuFactorization(std::move(a)).solve(b);
 }
 
 }  // namespace ssnkit::numeric

@@ -20,7 +20,6 @@ class CVector {
   Complex& operator[](std::size_t i) { return data_[i]; }
   const Complex& operator[](std::size_t i) const { return data_[i]; }
   void fill(Complex value);
-  double norm_inf() const;
 
  private:
   std::vector<Complex> data_;
@@ -40,7 +39,6 @@ class CMatrix {
     return data_[r * cols_ + c];
   }
   void fill(Complex value);
-  CVector mul(const CVector& x) const;
 
  private:
   std::size_t rows_ = 0, cols_ = 0;
@@ -61,8 +59,5 @@ class CLuFactorization {
   std::vector<std::size_t> perm_;
   bool singular_ = false;
 };
-
-/// One-shot solve.
-CVector solve_linear(CMatrix a, const CVector& b);
 
 }  // namespace ssnkit::numeric

@@ -4,7 +4,6 @@
 #include "support/contracts.hpp"
 
 #include <cmath>
-#include <stdexcept>
 
 namespace ssnkit::numeric {
 
@@ -17,21 +16,6 @@ LeastSquaresResult solve_least_squares(const Matrix& a, const Vector& b) {
   result.residual_rms =
       a.rows() == 0 ? 0.0 : result.residual_norm / std::sqrt(double(a.rows()));
   return result;
-}
-
-LeastSquaresResult solve_least_squares(const Matrix& a, const Vector& b,
-                                       const Vector& weights) {
-  SSN_REQUIRE(a.rows() == b.size() && a.rows() == weights.size(),
-              "solve_least_squares: row count mismatch");
-  Matrix wa = a;
-  Vector wb = b;
-  for (std::size_t r = 0; r < a.rows(); ++r) {
-    SSN_REQUIRE(weights[r] >= 0.0, "solve_least_squares: negative weight");
-    const double s = std::sqrt(weights[r]);
-    for (std::size_t c = 0; c < a.cols(); ++c) wa(r, c) *= s;
-    wb[r] *= s;
-  }
-  return solve_least_squares(wa, wb);
 }
 
 }  // namespace ssnkit::numeric

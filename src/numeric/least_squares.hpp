@@ -1,4 +1,4 @@
-// Linear least squares on top of Householder QR, with optional row weights.
+// Linear least squares on top of Householder QR.
 #pragma once
 
 #include "numeric/matrix.hpp"
@@ -14,10 +14,5 @@ struct LeastSquaresResult {
 
 /// Minimize ||A x − b||_2. A must have rows >= cols and full column rank.
 LeastSquaresResult solve_least_squares(const Matrix& a, const Vector& b);
-
-/// Weighted variant: minimize ||W^(1/2) (A x − b)||_2 with per-row weights
-/// w_i >= 0. The reported residuals are the *weighted* residuals.
-LeastSquaresResult solve_least_squares(const Matrix& a, const Vector& b,
-                                       const Vector& weights);
 
 }  // namespace ssnkit::numeric

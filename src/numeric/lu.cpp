@@ -29,12 +29,11 @@ LuFactorization::LuFactorization(Matrix a) : lu_(std::move(a)) {
     }
     if (pivot_mag < std::numeric_limits<double>::min() * 16) {
       singular_ = true;
-      continue;  // keep scanning so pivot_ratio() reflects the whole matrix
+      continue;  // solve() refuses a singular factorization
     }
     if (pivot_row != k) {
       for (std::size_t c = 0; c < n; ++c) std::swap(lu_(k, c), lu_(pivot_row, c));
       std::swap(perm_[k], perm_[pivot_row]);
-      sign_ = -sign_;
     }
     const double inv_pivot = 1.0 / lu_(k, k);
     for (std::size_t r = k + 1; r < n; ++r) {
@@ -69,30 +68,6 @@ Vector LuFactorization::solve(const Vector& b) const {
   // from a near-singular pivot) must surface here, not downstream in Newton.
   SSN_ASSERT_FINITE(y);
   return y;
-}
-
-double LuFactorization::determinant() const {
-  if (singular_) return 0.0;
-  double det = sign_;
-  for (std::size_t i = 0; i < size(); ++i) det *= lu_(i, i);
-  return det;
-}
-
-double LuFactorization::pivot_ratio() const {
-  if (size() == 0) return 1.0;
-  double lo = std::numeric_limits<double>::infinity();
-  double hi = 0.0;
-  for (std::size_t i = 0; i < size(); ++i) {
-    const double p = std::fabs(lu_(i, i));
-    lo = std::min(lo, p);
-    hi = std::max(hi, p);
-  }
-  return hi == 0.0 ? 0.0 : lo / hi;  // ssnlint-ignore(SSN-L001)
-}
-
-Vector solve_linear(Matrix a, const Vector& b) {
-  SSN_REQUIRE(a.rows() == b.size(), "solve_linear: shape mismatch");
-  return LuFactorization(std::move(a)).solve(b);
 }
 
 }  // namespace ssnkit::numeric

@@ -1,5 +1,6 @@
-// LU factorization with partial pivoting — the linear solver behind every
-// Newton iteration of the MNA engine.
+// Dense LU factorization with partial pivoting — the solver of the
+// Levenberg–Marquardt damped normal equations (the MNA engine factors its
+// Jacobians with numeric::SparseFactor).
 #pragma once
 
 #include "numeric/matrix.hpp"
@@ -23,22 +24,10 @@ class LuFactorization {
   /// Solve A x = b. b.size() must equal size().
   Vector solve(const Vector& b) const;
 
-  /// Determinant of the original matrix (0 when singular).
-  double determinant() const;
-
-  /// Reciprocal pivot-growth based condition estimate: the ratio of the
-  /// smallest to the largest |pivot|. Near zero means ill-conditioned.
-  double pivot_ratio() const;
-
  private:
   Matrix lu_;                 // packed L (unit diagonal) and U
   std::vector<std::size_t> perm_;
-  int sign_ = 1;              // permutation parity, for determinant()
   bool singular_ = false;
 };
-
-/// One-shot convenience: solve A x = b.
-/// Throws std::runtime_error when A is singular.
-Vector solve_linear(Matrix a, const Vector& b);
 
 }  // namespace ssnkit::numeric

@@ -37,24 +37,4 @@ std::optional<std::array<double, 2>> quadratic_real_roots(double a, double b,
   return std::array<double, 2>{r1, r2};
 }
 
-std::array<std::complex<double>, 2> quadratic_complex_roots(double a, double b,
-                                                            double c) {
-  const double disc = quadratic_discriminant(a, b, c);
-  if (disc >= 0.0) {
-    const auto real = quadratic_real_roots(a, b, c);
-    return {std::complex<double>((*real)[0], 0.0),
-            std::complex<double>((*real)[1], 0.0)};
-  }
-  const double re = -b / (2.0 * a);
-  const double im = std::sqrt(-disc) / (2.0 * a);
-  return {std::complex<double>(re, -im), std::complex<double>(re, im)};
-}
-
-double polyval(const double* coeffs, std::size_t n, double x) {
-  if (n == 0) return 0.0;
-  double acc = coeffs[n - 1];
-  for (std::size_t i = n - 1; i-- > 0;) acc = acc * x + coeffs[i];
-  return acc;
-}
-
 }  // namespace ssnkit::numeric

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <array>
-#include <complex>
 #include <optional>
 
 namespace ssnkit::numeric {
@@ -19,15 +18,8 @@ namespace ssnkit::numeric {
 std::optional<std::array<double, 2>> quadratic_real_roots(double a, double b,
                                                           double c);
 
-/// Both roots of a·x² + b·x + c = 0 in the complex plane (a must be != 0).
-std::array<std::complex<double>, 2> quadratic_complex_roots(double a, double b,
-                                                            double c);
-
 /// Discriminant b² − 4ac evaluated with a fused style that limits
 /// cancellation: uses the identity via difference-of-products.
 double quadratic_discriminant(double a, double b, double c);
-
-/// Evaluate a polynomial sum(coeffs[i] * x^i) by Horner's rule.
-double polyval(const double* coeffs, std::size_t n, double x);
 
 }  // namespace ssnkit::numeric

@@ -16,28 +16,6 @@ void require_bracket(double flo, double fhi) {
 
 }  // namespace
 
-double bisect(const std::function<double(double)>& f, double lo, double hi,
-              const RootOptions& opts) {
-  if (lo > hi) std::swap(lo, hi);
-  double flo = f(lo);
-  double fhi = f(hi);
-  if (flo == 0.0) return lo;  // ssnlint-ignore(SSN-L001)
-  if (fhi == 0.0) return hi;  // ssnlint-ignore(SSN-L001)
-  require_bracket(flo, fhi);
-  for (int i = 0; i < opts.max_iterations; ++i) {
-    const double mid = 0.5 * (lo + hi);
-    const double fmid = f(mid);
-    if (std::fabs(fmid) <= opts.f_tol || (hi - lo) * 0.5 <= opts.x_tol) return mid;
-    if ((fmid < 0.0) == (flo < 0.0)) {
-      lo = mid;
-      flo = fmid;
-    } else {
-      hi = mid;
-    }
-  }
-  return 0.5 * (lo + hi);
-}
-
 double brent(const std::function<double(double)>& f, double lo, double hi,
              const RootOptions& opts) {
   double a = lo, b = hi;
@@ -92,68 +70,6 @@ double brent(const std::function<double(double)>& f, double lo, double hi,
     }
   }
   return b;
-}
-
-double newton_safeguarded(const std::function<double(double)>& f,
-                          const std::function<double(double)>& df, double x0,
-                          double lo, double hi, const RootOptions& opts) {
-  if (lo > hi) std::swap(lo, hi);
-  double flo = f(lo);
-  double fhi = f(hi);
-  if (flo == 0.0) return lo;  // ssnlint-ignore(SSN-L001)
-  if (fhi == 0.0) return hi;  // ssnlint-ignore(SSN-L001)
-  require_bracket(flo, fhi);
-  double x = std::clamp(x0, lo, hi);
-  for (int i = 0; i < opts.max_iterations; ++i) {
-    const double fx = f(x);
-    if (std::fabs(fx) <= opts.f_tol) return x;
-    // Shrink the bracket around the sign change.
-    if ((fx < 0.0) == (flo < 0.0)) {
-      lo = x;
-      flo = fx;
-    } else {
-      hi = x;
-    }
-    const double dfx = df(x);
-    double next = (dfx != 0.0) ? x - fx / dfx : lo - 1.0;  // force bisection  ssnlint-ignore(SSN-L001)
-    if (!(next > lo && next < hi)) next = 0.5 * (lo + hi);
-    if (std::fabs(next - x) <= opts.x_tol) return next;
-    x = next;
-  }
-  return x;
-}
-
-std::optional<double> newton(const std::function<double(double)>& f,
-                             const std::function<double(double)>& df,
-                             double x0, const RootOptions& opts) {
-  double x = x0;
-  for (int i = 0; i < opts.max_iterations; ++i) {
-    const double fx = f(x);
-    if (std::fabs(fx) <= opts.f_tol) return x;
-    const double dfx = df(x);
-    if (dfx == 0.0 || !std::isfinite(dfx)) return std::nullopt;  // ssnlint-ignore(SSN-L001)
-    const double next = x - fx / dfx;
-    if (!std::isfinite(next)) return std::nullopt;
-    if (std::fabs(next - x) <= opts.x_tol) return next;
-    x = next;
-  }
-  return std::nullopt;
-}
-
-std::optional<double> fixed_point(const std::function<double(double)>& g,
-                                  double x0, double damping,
-                                  const RootOptions& opts) {
-  if (damping <= 0.0 || damping > 1.0)
-    throw std::invalid_argument("fixed_point: damping must be in (0, 1]");
-  double x = x0;
-  for (int i = 0; i < opts.max_iterations; ++i) {
-    const double gx = g(x);
-    if (!std::isfinite(gx)) return std::nullopt;
-    const double next = (1.0 - damping) * x + damping * gx;
-    if (std::fabs(next - x) <= opts.x_tol) return next;
-    x = next;
-  }
-  return std::nullopt;
 }
 
 }  // namespace ssnkit::numeric

@@ -1,48 +1,22 @@
 // Scalar root finding. The implicit baseline SSN formulas (Senthinathan–
 // Prince, Vemuru, Song) are fixed-point equations in V_max and are solved
-// with the safeguarded Newton / Brent routines here.
+// with the bracketing Brent routine here.
 #pragma once
 
 #include <functional>
-#include <optional>
 
 namespace ssnkit::numeric {
 
-/// Options shared by the scalar solvers.
+/// Options for brent().
 struct RootOptions {
   double x_tol = 1e-12;      ///< absolute tolerance on the root
   double f_tol = 1e-14;      ///< absolute tolerance on |f(x)|
   int max_iterations = 200;
 };
 
-/// Bisection on [lo, hi]; requires f(lo) and f(hi) of opposite sign
-/// (throws std::invalid_argument otherwise). Always converges.
-double bisect(const std::function<double(double)>& f, double lo, double hi,
-              const RootOptions& opts = {});
-
 /// Brent's method on a bracketing interval [lo, hi]: inverse quadratic
 /// interpolation + secant, falling back to bisection. Superlinear and safe.
 double brent(const std::function<double(double)>& f, double lo, double hi,
              const RootOptions& opts = {});
-
-/// Newton's method safeguarded by a bracket: starts at x0 and falls back to
-/// bisection whenever the Newton step leaves [lo, hi] or stalls. The
-/// derivative is supplied by the caller.
-double newton_safeguarded(const std::function<double(double)>& f,
-                          const std::function<double(double)>& df, double x0,
-                          double lo, double hi, const RootOptions& opts = {});
-
-/// Plain Newton iteration without a bracket; returns std::nullopt when the
-/// iteration diverges or the derivative vanishes.
-std::optional<double> newton(const std::function<double(double)>& f,
-                             const std::function<double(double)>& df,
-                             double x0, const RootOptions& opts = {});
-
-/// Damped fixed-point iteration x <- (1-damping)*x + damping*g(x); returns
-/// std::nullopt when it fails to converge. Used by the reconstructed
-/// baseline SSN formulas which are naturally of the form V = g(V).
-std::optional<double> fixed_point(const std::function<double(double)>& g,
-                                  double x0, double damping = 0.5,
-                                  const RootOptions& opts = {});
 
 }  // namespace ssnkit::numeric

@@ -191,264 +191,6 @@ std::vector<std::size_t> amd_order(std::size_t n,
 }
 }  // namespace
 
-SparseMatrix::SparseMatrix(std::size_t rows, std::size_t cols)
-    : rows_(rows), cols_(cols) {}
-
-SparseMatrix SparseMatrix::from_dense(const Matrix& dense, double drop) {
-  SparseMatrix s(dense.rows(), dense.cols());
-  for (std::size_t r = 0; r < dense.rows(); ++r)
-    for (std::size_t c = 0; c < dense.cols(); ++c)
-      if (std::fabs(dense(r, c)) > drop) s.add(r, c, dense(r, c));
-  return s;
-}
-
-void SparseMatrix::add(std::size_t r, std::size_t c, double v) {
-  if (r >= rows_ || c >= cols_)
-    throw std::out_of_range("SparseMatrix::add: index out of range");
-  triplets_.push_back({r, c, v});
-  compiled_ = false;
-}
-
-void SparseMatrix::compile() const {
-  if (compiled_) return;
-  std::sort(triplets_.begin(), triplets_.end(),
-            [](const Triplet& a, const Triplet& b) {
-              return a.r != b.r ? a.r < b.r : a.c < b.c;
-            });
-  row_ptr_.assign(rows_ + 1, 0);
-  col_idx_.clear();
-  values_.clear();
-  std::size_t i = 0;
-  for (std::size_t r = 0; r < rows_; ++r) {
-    row_ptr_[r] = col_idx_.size();
-    while (i < triplets_.size() && triplets_[i].r == r) {
-      const std::size_t c = triplets_[i].c;
-      double v = 0.0;
-      while (i < triplets_.size() && triplets_[i].r == r && triplets_[i].c == c)
-        v += triplets_[i++].v;
-      col_idx_.push_back(c);
-      values_.push_back(v);
-    }
-  }
-  row_ptr_[rows_] = col_idx_.size();
-  compiled_ = true;
-}
-
-std::size_t SparseMatrix::nonzeros() const {
-  compile();
-  return values_.size();
-}
-
-double SparseMatrix::at(std::size_t r, std::size_t c) const {
-  compile();
-  for (std::size_t i = row_ptr_[r]; i < row_ptr_[r + 1]; ++i)
-    if (col_idx_[i] == c) return values_[i];
-  return 0.0;
-}
-
-Vector SparseMatrix::mul(const Vector& x) const {
-  if (x.size() != cols_) throw std::invalid_argument("SparseMatrix::mul: size");
-  compile();
-  Vector y(rows_);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    double acc = 0.0;
-    for (std::size_t i = row_ptr_[r]; i < row_ptr_[r + 1]; ++i)
-      acc += values_[i] * x[col_idx_[i]];
-    y[r] = acc;
-  }
-  return y;
-}
-
-Matrix SparseMatrix::to_dense() const {
-  compile();
-  Matrix d(rows_, cols_);
-  for (std::size_t r = 0; r < rows_; ++r)
-    for (std::size_t i = row_ptr_[r]; i < row_ptr_[r + 1]; ++i)
-      d(r, col_idx_[i]) = values_[i];
-  return d;
-}
-
-const std::vector<std::size_t>& SparseMatrix::row_ptr() const {
-  compile();
-  return row_ptr_;
-}
-const std::vector<std::size_t>& SparseMatrix::col_idx() const {
-  compile();
-  return col_idx_;
-}
-const std::vector<double>& SparseMatrix::values() const {
-  compile();
-  return values_;
-}
-
-// --- SparseLu ----------------------------------------------------------------
-
-SparseLu::SparseLu(const SparseMatrix& a) {
-  SSN_REQUIRE(a.rows() == a.cols(), "SparseLu: matrix must be square");
-  n_ = a.rows();
-  a.compile();
-
-  // Column-compressed copy of A.
-  std::vector<std::size_t> ccol_ptr(n_ + 1, 0);
-  std::vector<std::size_t> crow_idx(a.nonzeros());
-  std::vector<double> cvals(a.nonzeros());
-  {
-    const auto& rp = a.row_ptr();
-    const auto& ci = a.col_idx();
-    const auto& vv = a.values();
-    for (std::size_t i = 0; i < ci.size(); ++i) ccol_ptr[ci[i] + 1]++;
-    for (std::size_t c = 0; c < n_; ++c) ccol_ptr[c + 1] += ccol_ptr[c];
-    std::vector<std::size_t> next(ccol_ptr.begin(), ccol_ptr.end() - 1);
-    for (std::size_t r = 0; r < n_; ++r)
-      for (std::size_t i = rp[r]; i < rp[r + 1]; ++i) {
-        const std::size_t dst = next[ci[i]]++;
-        crow_idx[dst] = r;
-        cvals[dst] = vv[i];
-      }
-  }
-
-  l_rows_.resize(n_);
-  l_vals_.resize(n_);
-  u_rows_.resize(n_);
-  u_vals_.resize(n_);
-  u_diag_.assign(n_, 0.0);
-  perm_.assign(n_, kNone);
-
-  std::vector<std::size_t> pinv(n_, kNone);  // original row -> pivot position
-  std::vector<double> x(n_, 0.0);
-  std::vector<std::size_t> visited(n_, kNone);  // epoch stamps
-  std::vector<std::size_t> pattern;             // postorder DFS output
-  std::vector<std::size_t> dfs_stack, dfs_edge;
-
-  for (std::size_t j = 0; j < n_; ++j) {
-    // Symbolic: reachability of A(:,j)'s rows through the columns of L,
-    // collected in postorder (reverse = topological for the numeric pass).
-    pattern.clear();
-    for (std::size_t p = ccol_ptr[j]; p < ccol_ptr[j + 1]; ++p) {
-      const std::size_t root = crow_idx[p];
-      if (visited[root] == j) continue;
-      dfs_stack.assign(1, root);
-      dfs_edge.assign(1, 0);
-      visited[root] = j;
-      while (!dfs_stack.empty()) {
-        const std::size_t t = dfs_stack.back();
-        const std::size_t k = pinv[t];
-        bool descended = false;
-        if (k != kNone) {
-          std::size_t& e = dfs_edge.back();
-          while (e < l_rows_[k].size()) {
-            const std::size_t child = l_rows_[k][e++];
-            if (visited[child] != j) {
-              visited[child] = j;
-              dfs_stack.push_back(child);
-              dfs_edge.push_back(0);
-              descended = true;
-              break;
-            }
-          }
-        }
-        if (!descended && (k == kNone || dfs_edge.back() >= l_rows_[k].size())) {
-          pattern.push_back(t);
-          dfs_stack.pop_back();
-          dfs_edge.pop_back();
-        }
-      }
-    }
-
-    // Numeric: scatter A(:,j) and eliminate in topological order.
-    for (std::size_t p = ccol_ptr[j]; p < ccol_ptr[j + 1]; ++p)
-      x[crow_idx[p]] += cvals[p];
-    for (std::size_t idx = pattern.size(); idx-- > 0;) {
-      const std::size_t t = pattern[idx];
-      const std::size_t k = pinv[t];
-      if (k == kNone) continue;
-      const double xt = x[t];
-      if (xt == 0.0) continue;  // ssnlint-ignore(SSN-L001)
-      for (std::size_t q = 0; q < l_rows_[k].size(); ++q)
-        x[l_rows_[k][q]] -= l_vals_[k][q] * xt;
-    }
-
-    // Pivot: the largest-magnitude entry among not-yet-pivotal rows.
-    std::size_t pivot_row = kNone;
-    double pivot_mag = 0.0;
-    for (std::size_t t : pattern) {
-      if (pinv[t] != kNone) continue;
-      const double mag = std::fabs(x[t]);
-      if (mag > pivot_mag) {
-        pivot_mag = mag;
-        pivot_row = t;
-      }
-    }
-    if (pivot_row == kNone ||
-        pivot_mag < std::numeric_limits<double>::min() * 16) {
-      singular_ = true;
-      for (std::size_t t : pattern) x[t] = 0.0;  // leave state clean
-      return;
-    }
-    const double pivot = x[pivot_row];
-    u_diag_[j] = pivot;
-    perm_[j] = pivot_row;
-    pinv[pivot_row] = j;
-
-    for (std::size_t t : pattern) {
-      if (t == pivot_row) {
-        x[t] = 0.0;
-        continue;
-      }
-      const double v = x[t];
-      x[t] = 0.0;
-      if (v == 0.0) continue;  // ssnlint-ignore(SSN-L001)
-      if (pinv[t] != kNone) {  // above the diagonal: U entry (permuted row)
-        u_rows_[j].push_back(pinv[t]);
-        u_vals_[j].push_back(v);
-      } else {  // below: L entry, scaled by the pivot
-        l_rows_[j].push_back(t);
-        l_vals_[j].push_back(v / pivot);
-      }
-    }
-  }
-}
-
-std::size_t SparseLu::factor_nonzeros() const {
-  std::size_t nnz = n_;  // U diagonal
-  for (std::size_t j = 0; j < n_; ++j) nnz += l_rows_[j].size() + u_rows_[j].size();
-  return nnz;
-}
-
-Vector SparseLu::solve(const Vector& b) const {
-  SSN_REQUIRE(b.size() == n_, "SparseLu::solve: size mismatch");
-  if (singular_) {
-    support::SolverDiagnostics diag;
-    diag.where = "SparseLu::solve";
-    throw support::SolverError(support::SolverErrorKind::kSingularMatrix,
-                               "singular matrix", std::move(diag));
-  }
-
-  // Forward solve L y = P b (L unit-diagonal, stored column-wise with
-  // original row indices; pinv maps them to solve order = their own pivot
-  // position, which is strictly greater than the current column).
-  Vector y(n_);
-  for (std::size_t k = 0; k < n_; ++k) y[k] = b[perm_[k]];
-  // Need pinv at solve time: reconstruct once (cheap, n entries).
-  std::vector<std::size_t> pinv(n_);
-  for (std::size_t k = 0; k < n_; ++k) pinv[perm_[k]] = k;
-  for (std::size_t k = 0; k < n_; ++k) {
-    const double yk = y[k];
-    if (yk == 0.0) continue;  // ssnlint-ignore(SSN-L001)
-    for (std::size_t q = 0; q < l_rows_[k].size(); ++q)
-      y[pinv[l_rows_[k][q]]] -= l_vals_[k][q] * yk;
-  }
-  // Backward solve U x = y (U column-wise, rows already permuted).
-  for (std::size_t jj = n_; jj-- > 0;) {
-    y[jj] /= u_diag_[jj];
-    const double yj = y[jj];
-    if (yj == 0.0) continue;  // ssnlint-ignore(SSN-L001)
-    for (std::size_t q = 0; q < u_rows_[jj].size(); ++q)
-      y[u_rows_[jj][q]] -= u_vals_[jj][q] * yj;
-  }
-  return y;
-}
-
 // --- StampedMatrix -----------------------------------------------------------
 
 void StampedMatrix::begin_pattern(std::size_t n) {

@@ -7,9 +7,6 @@
 // into a reusable CSR workspace) and SparseFactor (fill-reducing column
 // order, symbolic analysis and pivot order computed once, numeric-only
 // refactorization per iteration).
-//
-// SparseMatrix/SparseLu are the original one-shot triplet/CSR classes,
-// kept for tests and callers that factor a matrix once.
 #pragma once
 
 #include "numeric/matrix.hpp"
@@ -18,78 +15,6 @@
 #include <vector>
 
 namespace ssnkit::numeric {
-
-/// Compressed-sparse-row matrix, built from accumulating triplets.
-class SparseMatrix {
- public:
-  SparseMatrix(std::size_t rows, std::size_t cols);
-
-  /// Build from the nonzero entries of a dense matrix (|a_ij| > drop).
-  static SparseMatrix from_dense(const Matrix& dense, double drop = 0.0);
-
-  std::size_t rows() const { return rows_; }
-  std::size_t cols() const { return cols_; }
-  std::size_t nonzeros() const;
-
-  /// Accumulate a value (duplicates sum when compiled).
-  void add(std::size_t r, std::size_t c, double v);
-
-  /// Sort/merge triplets into CSR form. Idempotent; called automatically by
-  /// the consumers below.
-  void compile() const;
-
-  /// Entry lookup (0 when absent). Compiles on first use.
-  double at(std::size_t r, std::size_t c) const;
-
-  /// y = A x.
-  Vector mul(const Vector& x) const;
-
-  /// Dense copy (for tests and small-problem fallbacks).
-  Matrix to_dense() const;
-
-  // CSR access (valid after compile()).
-  const std::vector<std::size_t>& row_ptr() const;
-  const std::vector<std::size_t>& col_idx() const;
-  const std::vector<double>& values() const;
-
- private:
-  struct Triplet {
-    std::size_t r, c;
-    double v = 0.0;
-  };
-
-  std::size_t rows_, cols_;
-  mutable std::vector<Triplet> triplets_;
-  mutable bool compiled_ = false;
-  mutable std::vector<std::size_t> row_ptr_;
-  mutable std::vector<std::size_t> col_idx_;
-  mutable std::vector<double> values_;
-};
-
-/// Sparse LU with partial pivoting (Gilbert–Peierls left-looking
-/// factorization over a column-compressed copy). Suitable for the
-/// unsymmetric, diagonally-dominant-ish matrices MNA produces.
-class SparseLu {
- public:
-  explicit SparseLu(const SparseMatrix& a);
-
-  bool singular() const { return singular_; }
-  std::size_t size() const { return n_; }
-  /// Total stored entries of L + U (fill-in metric for tests/benches).
-  std::size_t factor_nonzeros() const;
-
-  /// Solve A x = b; throws std::runtime_error when singular.
-  Vector solve(const Vector& b) const;
-
- private:
-  std::size_t n_ = 0;
-  bool singular_ = false;
-  // Column-major factors: L has unit diagonal (not stored).
-  std::vector<std::vector<std::size_t>> l_rows_, u_rows_;
-  std::vector<std::vector<double>> l_vals_, u_vals_;
-  std::vector<double> u_diag_;
-  std::vector<std::size_t> perm_;  // row permutation: PA = LU
-};
 
 /// Fixed-pattern CSR matrix for repeated assembly ("stamp plan" + value
 /// workspace). Two modes:
@@ -177,8 +102,8 @@ class StampedMatrix {
 /// while the pattern is unchanged, so re-pivoting a degraded factorization
 /// on the same epoch costs no ordering.
 ///
-/// Unlike SparseLu, exact-zero entries are kept in the stored pattern so a
-/// later refactorization with different values cannot silently lose fill.
+/// Exact-zero entries are kept in the stored pattern so a later
+/// refactorization with different values cannot silently lose fill.
 class SparseFactor {
  public:
   SparseFactor() = default;

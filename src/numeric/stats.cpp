@@ -15,19 +15,6 @@ double mean(std::span<const double> xs) {
   return acc / double(xs.size());
 }
 
-double rms(std::span<const double> xs) {
-  if (xs.empty()) return 0.0;
-  double acc = 0.0;
-  for (double x : xs) acc += x * x;
-  return std::sqrt(acc / double(xs.size()));
-}
-
-double max_abs(std::span<const double> xs) {
-  double acc = 0.0;
-  for (double x : xs) acc = std::max(acc, std::fabs(x));
-  return acc;
-}
-
 double min_value(std::span<const double> xs) {
   double acc = std::numeric_limits<double>::infinity();
   for (double x : xs) acc = std::min(acc, x);
@@ -51,29 +38,6 @@ double stddev(std::span<const double> xs) {
 double relative_error(double a, double b, double floor) {
   if (floor <= 0.0) throw std::invalid_argument("relative_error: floor must be > 0");
   return std::fabs(a - b) / std::max(std::fabs(b), floor);
-}
-
-double max_relative_error(std::span<const double> got,
-                          std::span<const double> want, double floor) {
-  if (got.size() != want.size())
-    throw std::invalid_argument("max_relative_error: size mismatch");
-  double acc = 0.0;
-  for (std::size_t i = 0; i < got.size(); ++i)
-    acc = std::max(acc, relative_error(got[i], want[i], floor));
-  return acc;
-}
-
-double rms_relative_error(std::span<const double> got,
-                          std::span<const double> want, double floor) {
-  if (got.size() != want.size())
-    throw std::invalid_argument("rms_relative_error: size mismatch");
-  if (got.empty()) return 0.0;
-  double acc = 0.0;
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    const double e = relative_error(got[i], want[i], floor);
-    acc += e * e;
-  }
-  return std::sqrt(acc / double(got.size()));
 }
 
 double quantile(std::span<const double> xs, double q) {

@@ -8,8 +8,6 @@
 namespace ssnkit::numeric {
 
 double mean(std::span<const double> xs);
-double rms(std::span<const double> xs);
-double max_abs(std::span<const double> xs);
 double min_value(std::span<const double> xs);
 double max_value(std::span<const double> xs);
 /// Sample standard deviation (N-1 denominator); 0 for fewer than 2 samples.
@@ -17,14 +15,6 @@ double stddev(std::span<const double> xs);
 
 /// |a − b| / max(|ref|, floor). The floor guards near-zero references.
 double relative_error(double a, double b, double floor = 1e-12);
-
-/// Elementwise relative errors, reduced to the maximum.
-double max_relative_error(std::span<const double> got,
-                          std::span<const double> want, double floor = 1e-12);
-
-/// Elementwise relative errors, reduced to the RMS.
-double rms_relative_error(std::span<const double> got,
-                          std::span<const double> want, double floor = 1e-12);
 
 /// q-quantile (q in [0, 1]) by linear interpolation of the sorted sample.
 /// Throws std::invalid_argument for empty input or q outside [0, 1].

@@ -31,18 +31,6 @@ std::optional<double> first_falling_crossing(const Waveform& w, double level) {
   return std::nullopt;
 }
 
-std::vector<Waveform::Extremum> local_maxima(const Waveform& w) {
-  std::vector<Waveform::Extremum> out;
-  for (std::size_t i = 1; i + 1 < w.size(); ++i)
-    if (w.value(i) > w.value(i - 1) && w.value(i) > w.value(i + 1))
-      out.push_back({w.time(i), w.value(i)});
-  return out;
-}
-
-double peak_to_peak(const Waveform& w) {
-  return w.maximum().value - w.minimum().value;
-}
-
 WaveformError compare(const Waveform& model, const Waveform& reference) {
   SSN_REQUIRE(!model.empty() && !reference.empty(), "compare: empty waveform");
   return compare(model, reference,

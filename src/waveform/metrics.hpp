@@ -1,12 +1,11 @@
-// Waveform comparison and measurement utilities: peak detection, threshold
-// crossings, and the error metrics used to report model-vs-simulator
-// agreement (the paper's "within 3% of HSPICE" claim).
+// Waveform comparison and measurement utilities: threshold crossings and
+// the error metrics used to report model-vs-simulator agreement (the
+// paper's "within 3% of HSPICE" claim).
 #pragma once
 
 #include "waveform/waveform.hpp"
 
 #include <optional>
-#include <vector>
 
 namespace ssnkit::waveform {
 
@@ -16,12 +15,6 @@ std::optional<double> first_rising_crossing(const Waveform& w, double level);
 
 /// First time the waveform crosses `level` going downward.
 std::optional<double> first_falling_crossing(const Waveform& w, double level);
-
-/// All strict local maxima (interior samples larger than both neighbours).
-std::vector<Waveform::Extremum> local_maxima(const Waveform& w);
-
-/// Peak-to-peak amplitude.
-double peak_to_peak(const Waveform& w);
 
 /// Error metrics between a model waveform and a reference, evaluated at the
 /// reference's time points inside the overlap window.

@@ -87,18 +87,6 @@ Waveform::Extremum Waveform::maximum_in(double t0, double t1) const {
   return best;
 }
 
-Waveform Waveform::resampled(std::size_t points) const {
-  return from_function([this](double t) { return sample(t); }, t_begin(), t_end(),
-                       points);
-}
-
-Waveform Waveform::resampled_like(const Waveform& other) const {
-  std::vector<double> ts = other.times_;
-  std::vector<double> vs(ts.size());
-  for (std::size_t i = 0; i < ts.size(); ++i) vs[i] = sample(ts[i]);
-  return Waveform(std::move(ts), std::move(vs));
-}
-
 Waveform Waveform::windowed(double t0, double t1) const {
   if (t0 > t1) std::swap(t0, t1);
   Waveform out;
@@ -106,20 +94,6 @@ Waveform Waveform::windowed(double t0, double t1) const {
   for (std::size_t i = 0; i < size(); ++i)
     if (times_[i] > t0 && times_[i] < t1) out.append(times_[i], values_[i]);
   if (t1 > out.t_end()) out.append(t1, sample(t1));
-  return out;
-}
-
-Waveform Waveform::operator-(const Waveform& rhs) const {
-  Waveform out = *this;
-  for (std::size_t i = 0; i < out.size(); ++i)
-    out.values_[i] -= rhs.sample(out.times_[i]);
-  return out;
-}
-
-Waveform Waveform::operator+(const Waveform& rhs) const {
-  Waveform out = *this;
-  for (std::size_t i = 0; i < out.size(); ++i)
-    out.values_[i] += rhs.sample(out.times_[i]);
   return out;
 }
 
@@ -132,30 +106,6 @@ Waveform Waveform::scaled(double s) const {
 Waveform Waveform::shifted(double dv) const {
   Waveform out = *this;
   for (double& v : out.values_) v += dv;
-  return out;
-}
-
-Waveform Waveform::derivative() const {
-  if (size() < 2) throw std::runtime_error("Waveform::derivative: need >= 2 points");
-  Waveform out = *this;
-  const std::size_t n = size();
-  out.values_[0] = (values_[1] - values_[0]) / (times_[1] - times_[0]);
-  out.values_[n - 1] =
-      (values_[n - 1] - values_[n - 2]) / (times_[n - 1] - times_[n - 2]);
-  for (std::size_t i = 1; i + 1 < n; ++i)
-    out.values_[i] = (values_[i + 1] - values_[i - 1]) / (times_[i + 1] - times_[i - 1]);
-  return out;
-}
-
-Waveform Waveform::integral() const {
-  if (empty()) throw std::runtime_error("Waveform::integral: empty waveform");
-  Waveform out = *this;
-  double acc = 0.0;
-  out.values_[0] = 0.0;
-  for (std::size_t i = 1; i < size(); ++i) {
-    acc += 0.5 * (values_[i] + values_[i - 1]) * (times_[i] - times_[i - 1]);
-    out.values_[i] = acc;
-  }
   return out;
 }
 

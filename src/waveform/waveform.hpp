@@ -52,23 +52,12 @@ class Waveform {
   /// window edges are included).
   Extremum maximum_in(double t0, double t1) const;
 
-  /// New waveform resampled at `points` equidistant times over the span.
-  Waveform resampled(std::size_t points) const;
-  /// New waveform sampled at the time points of `other` (clamped).
-  Waveform resampled_like(const Waveform& other) const;
   /// Restrict to the window [t0, t1], interpolating the window edges.
   Waveform windowed(double t0, double t1) const;
 
-  /// Pointwise combinations (rhs is sampled at this waveform's times).
-  Waveform operator-(const Waveform& rhs) const;
-  Waveform operator+(const Waveform& rhs) const;
+  /// Pointwise value transforms: v -> s·v and v -> v + dv.
   Waveform scaled(double s) const;
   Waveform shifted(double dv) const;
-
-  /// Numerical time-derivative (central differences, one-sided at ends).
-  Waveform derivative() const;
-  /// Running trapezoidal integral starting at 0.
-  Waveform integral() const;
 
  private:
   std::vector<double> times_;

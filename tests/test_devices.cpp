@@ -23,22 +23,6 @@ namespace {
 
 using namespace ssnkit::devices;
 
-TEST(SmoothRelu, LimitsAndMidpoint) {
-  EXPECT_NEAR(smooth_relu(1.0, 1e-3), 1.0, 1e-5);
-  EXPECT_NEAR(smooth_relu(-1.0, 1e-3), 0.0, 1e-5);
-  EXPECT_NEAR(smooth_relu(0.0, 1e-3), 1e-3, 1e-12);
-  EXPECT_THROW(smooth_relu(0.0, 0.0), std::invalid_argument);
-}
-
-TEST(SmoothRelu, DerivativeMatchesFiniteDifference) {
-  const double eps = 2e-3;
-  for (double x : {-0.1, -0.001, 0.0, 0.001, 0.1}) {
-    const double h = 1e-7;
-    const double fd = (smooth_relu(x + h, eps) - smooth_relu(x - h, eps)) / (2 * h);
-    EXPECT_NEAR(smooth_relu_deriv(x, eps), fd, 1e-6);
-  }
-}
-
 TEST(Softplus, SlopeHelperMatchesValueAndDerivative) {
   const double eps = 2e-3;
   for (double x : {-1.0, -0.02, -0.004, -1e-4, 0.0, 1e-4, 0.004, 0.02, 1.0}) {

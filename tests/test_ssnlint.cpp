@@ -286,15 +286,7 @@ TEST(SsnlintL008, FlagsMatrixCtorInLoopInSolverLayer) {
   EXPECT_EQ(count_rule(lint_source("fixture.cpp", src), "SSN-L008"), 0);
 }
 
-TEST(SsnlintL008, FlagsFromDenseAndTemporariesInLoops) {
-  EXPECT_EQ(count_rule(lint_source(
-                "src/sim/x.cpp",
-                "void f() {\n"
-                "  while (!done) {\n"
-                "    auto s = SparseMatrix::from_dense(a);\n"
-                "  }\n"
-                "}\n"),
-            "SSN-L008"), 1);
+TEST(SsnlintL008, FlagsTemporariesInLoops) {
   EXPECT_EQ(count_rule(lint_source(
                 "src/numeric/x.cpp",
                 "void f() { do { use(Matrix(n, n)); } while (again()); }\n"),
@@ -320,10 +312,10 @@ TEST(SsnlintL008, QuietOutsideLoopsAndForReferences) {
                 "  for (int i = 0; i < k; ++i) { stamp(a, i); }\n"
                 "}\n"),
             "SSN-L008"), 0);
-  // Member access named from_dense on another object is out of scope.
+  // Member access named Matrix on another object is out of scope.
   EXPECT_EQ(count_rule(lint_source(
                 "src/sim/x.cpp",
-                "void f(Conv& c) { while (go()) { c.from_dense(a); } }\n"),
+                "void f(Pool& p) { while (go()) { p.Matrix(a); } }\n"),
             "SSN-L008"), 0);
 }
 

@@ -20,11 +20,10 @@
 //             hardened parsing helpers in src/io/diagnostics.cpp (they
 //             accept "inf"/"nan"/hex and throw std::out_of_range; use
 //             io::parse_double_prefix / io::parse_int_strict)
-//   SSN-L008  dense Matrix construction or SparseMatrix::from_dense inside
-//             a loop body in src/sim or src/numeric (the solver hot path
-//             stamps into a cached sparse pattern; a per-iteration dense
-//             build reintroduces the O(n^2) allocate-and-convert cost the
-//             stamped workspace exists to avoid)
+//   SSN-L008  dense Matrix construction inside a loop body in src/sim or
+//             src/numeric (the solver hot path stamps into a cached sparse
+//             pattern; a per-iteration dense build reintroduces the O(n^2)
+//             allocation cost the stamped workspace exists to avoid)
 //   SSN-L009  lifecycle hygiene: raw signal/sigaction/raise outside
 //             src/support (signal handling must go through
 //             support::ScopedSignalCancel so SIGINT/SIGTERM trip the shared
@@ -762,13 +761,13 @@ inline void rule_bare_numeric_conversion(const std::vector<Token>& toks,
   }
 }
 
-// SSN-L008: dense-matrix construction or from_dense conversion inside a loop
-// body in solver code. The engine's hot path stamps straight into a cached
-// sparse pattern (StampedMatrix + SparseFactor::refactorize) precisely so no
-// O(n^2) dense build happens per Newton iteration or per time step; a
-// `Matrix a(n, n)` or `SparseMatrix::from_dense(...)` inside a loop quietly
-// reintroduces that cost. Loop-free dense builds (setup, factor once) are
-// fine, as is anything outside src/sim and src/numeric.
+// SSN-L008: dense-matrix construction inside a loop body in solver code.
+// The engine's hot path stamps straight into a cached sparse pattern
+// (StampedMatrix + SparseFactor::refactorize) precisely so no O(n^2) dense
+// build happens per Newton iteration or per time step; a `Matrix a(n, n)`
+// inside a loop quietly reintroduces that cost. Loop-free dense builds
+// (setup, factor once) are fine, as is anything outside src/sim and
+// src/numeric.
 inline void rule_dense_in_loop(const std::vector<Token>& toks,
                                const std::string& file,
                                std::vector<Diagnostic>& out) {
@@ -819,10 +818,6 @@ inline void rule_dense_in_loop(const std::vector<Token>& toks,
       add(out, file, t.line, "SSN-L008",
           "dense Matrix constructed inside a loop in solver code; hoist it "
           "out or stamp into a cached StampedMatrix pattern");
-    } else if (t.text == "from_dense" && ctor_temp) {
-      add(out, file, t.line, "SSN-L008",
-          "SparseMatrix::from_dense inside a loop in solver code; build the "
-          "pattern once and refill with StampedMatrix::clear + stamps");
     }
   }
 }
