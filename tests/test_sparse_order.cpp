@@ -203,40 +203,45 @@ TEST(SparseOrder, HandBuiltSystemsMatchDense) {
     EXPECT_LE(f.factor_nonzeros(), m.nonzeros());  // hub last: no fill
     expect_matches_dense(f, m, 2);
   }
-  {
-    // Tridiagonal: factors with no fill at all — the point of sparsity.
-    const std::size_t n = 200;
-    StampedMatrix m;
-    m.begin_pattern(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      m.add(i, i, 4.0);
-      if (i > 0) m.add(i, i - 1, -1.0);
-      if (i + 1 < n) m.add(i, i + 1, -1.0);
-    }
-    m.finalize_pattern();
-    SparseFactor f;
-    ASSERT_TRUE(f.factorize(m));
-    EXPECT_LE(f.factor_nonzeros(), m.nonzeros());
-    expect_matches_dense(f, m, 3);
+}
+
+// The SparseLu suite holds the two sparse LU structure checks by their
+// long-standing names; both run on SparseFactor, the engine's sparse LU.
+
+TEST(SparseLu, TridiagonalHasLinearFill) {
+  // Tridiagonal: factors with no fill at all — the point of sparsity.
+  const std::size_t n = 200;
+  StampedMatrix m;
+  m.begin_pattern(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    m.add(i, i, 4.0);
+    if (i > 0) m.add(i, i - 1, -1.0);
+    if (i + 1 < n) m.add(i, i + 1, -1.0);
   }
-  {
-    // A permuted identity: every diagonal entry structurally zero, so each
-    // column's only candidate pivot is off the diagonal.
-    const std::size_t n = 20;
-    StampedMatrix m;
-    m.begin_pattern(n);
-    for (std::size_t i = 0; i < n; ++i) m.add(i, (i + 7) % n, 1.0);
-    m.finalize_pattern();
-    SparseFactor f;
-    ASSERT_TRUE(f.factorize(m));
-    Vector b(n);
-    for (std::size_t i = 0; i < n; ++i) b[i] = double(i);
-    Vector x;
-    f.solve(b, x);
-    for (std::size_t i = 0; i < n; ++i)
-      EXPECT_NEAR(x[(i + 7) % n], double(i), 1e-12);
-    expect_matches_dense(f, m, 4);
-  }
+  m.finalize_pattern();
+  SparseFactor f;
+  ASSERT_TRUE(f.factorize(m));
+  EXPECT_LE(f.factor_nonzeros(), m.nonzeros());
+  expect_matches_dense(f, m, 3);
+}
+
+TEST(SparseLu, PermutedIdentity) {
+  // Every diagonal entry structurally zero, so each column's only
+  // candidate pivot is off the diagonal.
+  const std::size_t n = 20;
+  StampedMatrix m;
+  m.begin_pattern(n);
+  for (std::size_t i = 0; i < n; ++i) m.add(i, (i + 7) % n, 1.0);
+  m.finalize_pattern();
+  SparseFactor f;
+  ASSERT_TRUE(f.factorize(m));
+  Vector b(n);
+  for (std::size_t i = 0; i < n; ++i) b[i] = double(i);
+  Vector x;
+  f.solve(b, x);
+  for (std::size_t i = 0; i < n; ++i)
+    EXPECT_NEAR(x[(i + 7) % n], double(i), 1e-12);
+  expect_matches_dense(f, m, 4);
 }
 
 TEST(SparseOrder, StaggeredTestbenchJacobiansMatchDense) {
