@@ -209,16 +209,16 @@ struct TransientJacobian {
   AssemblyFixture fx;
   numeric::StampedMatrix sm;
   numeric::Vector b;
+  numeric::Vector x;  ///< the iterate every stamp is taken at
+  circuit::StampContext ctx;
 
   explicit TransientJacobian(int n_drivers) : fx(n_drivers), b(fx.n) {
     const double tr = circuit::SsnBenchSpec{}.input_rise_time;
-    const numeric::Vector x =
-        sim::dc_operating_point(fx.bench.circuit, tr / 2).solution;
+    x = sim::dc_operating_point(fx.bench.circuit, tr / 2).solution;
     circuit::AcceptContext actx;
     actx.x = &x;
     actx.node_count = fx.bench.circuit.node_count();
     for (const auto& el : fx.bench.circuit.elements()) el->init_state(actx);
-    circuit::StampContext ctx;
     ctx.mode = circuit::AnalysisMode::kTransient;
     ctx.time = tr / 2;
     ctx.coeffs.h = tr / 200;
@@ -228,13 +228,40 @@ struct TransientJacobian {
     ctx.sa = &sm;
     ctx.b = &b;
     sm.begin_pattern(fx.n);
-    for (const auto& el : fx.bench.circuit.elements()) el->stamp(ctx);
-    // The engine's (inactive) gmin diagonal, so the pattern is its pattern.
-    for (int node = 1; node < fx.bench.circuit.node_count(); ++node)
-      sm.add(std::size_t(node - 1), std::size_t(node - 1), 0.0);
+    stamp();
     sm.finalize_pattern();
   }
+  TransientJacobian(const TransientJacobian&) = delete;  // ctx points inside
+  TransientJacobian& operator=(const TransientJacobian&) = delete;
+
+  /// One assembly's adds, as the engine makes them: every element, then
+  /// the (inactive) gmin diagonal, so the pattern is the engine's pattern.
+  void stamp() {
+    for (const auto& el : fx.bench.circuit.elements()) el->stamp(ctx);
+    for (int node = 1; node < fx.bench.circuit.node_count(); ++node)
+      sm.add(std::size_t(node - 1), std::size_t(node - 1), 0.0);
+  }
 };
+
+// Per Newton iteration: one bound-mode assembly of the transient Jacobian
+// (clear, element stamps with their device evaluations, gmin diagonal) —
+// the layer BM_TransientRefactor leaves out.
+void BM_TransientStamp(benchmark::State& state) {
+  TransientJacobian tj(int(state.range(0)));
+  for (auto _ : state) {
+    tj.sm.clear();
+    tj.b.fill(0.0);
+    tj.stamp();
+    benchmark::DoNotOptimize(tj.sm.values().data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["matrix_nnz"] = double(tj.sm.nonzeros());
+}
+BENCHMARK(BM_TransientStamp)
+    ->Arg(8)
+    ->Arg(32)
+    ->Arg(128)
+    ->Unit(benchmark::kMicrosecond);
 
 // Per Newton iteration: numeric refactorization over the frozen order and
 // pivots, then one solve.

@@ -13,6 +13,8 @@
 #   BM_MnaAssemblySparse                         — per-Newton-iteration cost
 #                                                  (stamp, refactorize, solve)
 #   BM_LuSolve                                   — dense LU baseline
+#   BM_TransientStamp                            — one transient assembly,
+#                                                  unfolded (stamp tape replay)
 #   BM_TransientRefactor                         — transient refactor + solve,
 #                                                  unfolded (fill shows here)
 #   BM_TransientFactorize                        — full factorize incl. the

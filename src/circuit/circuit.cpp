@@ -1,5 +1,7 @@
 #include "circuit/circuit.hpp"
 
+#include "support/contracts.hpp"
+
 #include <stdexcept>
 
 namespace ssnkit::circuit {
@@ -39,16 +41,21 @@ const std::string& Circuit::node_name(NodeId id) const {
   return node_names_[std::size_t(id)];
 }
 
-template <typename T, typename... Args>
-T& Circuit::emplace(Args&&... args) {
-  auto el = std::make_unique<T>(std::forward<Args>(args)...);
+Element& Circuit::add_element(std::unique_ptr<Element> el) {
+  SSN_REQUIRE(el != nullptr, "Circuit::add_element: null element");
   if (find_element(el->name()) != nullptr)
     throw std::invalid_argument("Circuit: duplicate element name '" + el->name() +
                                 "'");
-  T& ref = *el;
+  Element& ref = *el;
   elements_.push_back(std::move(el));
   finalized_ = false;
   return ref;
+}
+
+template <typename T, typename... Args>
+T& Circuit::emplace(Args&&... args) {
+  return static_cast<T&>(
+      add_element(std::make_unique<T>(std::forward<Args>(args)...)));
 }
 
 Resistor& Circuit::add_resistor(const std::string& name, NodeId n1, NodeId n2,

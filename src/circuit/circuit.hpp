@@ -49,6 +49,9 @@ class Circuit {
   Mosfet& add_mosfet(const std::string& name, NodeId d, NodeId g, NodeId s,
                      NodeId b, std::shared_ptr<const devices::MosfetModel> model,
                      MosfetPolarity polarity = MosfetPolarity::kNmos);
+  /// Take ownership of an element of any Element type; every factory above
+  /// ends here. Throws std::invalid_argument on a duplicate name.
+  Element& add_element(std::unique_ptr<Element> el);
 
   const std::vector<std::unique_ptr<Element>>& elements() const {
     return elements_;

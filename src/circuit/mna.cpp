@@ -2,24 +2,6 @@
 
 namespace ssnkit::circuit {
 
-void StampContext::add_a(std::size_t r, std::size_t c, double v) const {
-  if (sa)
-    sa->add(r, c, v);
-  else
-    (*a)(r, c) += v;
-}
-
-void StampContext::stamp_conductance(NodeId n1, NodeId n2, double g) const {
-  if (n1 != kGround) {
-    add_a(std::size_t(n1 - 1), std::size_t(n1 - 1), g);
-    if (n2 != kGround) add_a(std::size_t(n1 - 1), std::size_t(n2 - 1), -g);
-  }
-  if (n2 != kGround) {
-    add_a(std::size_t(n2 - 1), std::size_t(n2 - 1), g);
-    if (n1 != kGround) add_a(std::size_t(n2 - 1), std::size_t(n1 - 1), -g);
-  }
-}
-
 void StampContext::stamp_current(NodeId from, NodeId to, double i) const {
   if (from != kGround) (*b)[std::size_t(from - 1)] -= i;
   if (to != kGround) (*b)[std::size_t(to - 1)] += i;
@@ -31,12 +13,6 @@ void StampContext::stamp_vccs(NodeId out_p, NodeId out_m, NodeId cp, NodeId cm,
   stamp_jacobian(out_p, cm, -g);
   stamp_jacobian(out_m, cp, -g);
   stamp_jacobian(out_m, cm, +g);
-}
-
-void StampContext::stamp_jacobian(NodeId row_node, NodeId col_node,
-                                  double g) const {
-  if (row_node == kGround || col_node == kGround) return;
-  add_a(std::size_t(row_node - 1), std::size_t(col_node - 1), g);
 }
 
 void StampContext::stamp_branch_incidence(int node_count, int branch, NodeId p,

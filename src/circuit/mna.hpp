@@ -68,7 +68,16 @@ struct StampContext {
   // --- stamp helpers (all ignore ground rows/columns) ---------------------
 
   /// Conductance g between nodes n1 and n2.
-  void stamp_conductance(NodeId n1, NodeId n2, double g) const;
+  void stamp_conductance(NodeId n1, NodeId n2, double g) const {
+    if (n1 != kGround) {
+      add_a(std::size_t(n1 - 1), std::size_t(n1 - 1), g);
+      if (n2 != kGround) add_a(std::size_t(n1 - 1), std::size_t(n2 - 1), -g);
+    }
+    if (n2 != kGround) {
+      add_a(std::size_t(n2 - 1), std::size_t(n2 - 1), g);
+      if (n1 != kGround) add_a(std::size_t(n2 - 1), std::size_t(n1 - 1), -g);
+    }
+  }
   /// Current `i` flowing out of node `from` into node `to` (i.e. a source
   /// pushing current from -> to externally adds +i at `to`, -i at `from`).
   void stamp_current(NodeId from, NodeId to, double i) const;
@@ -76,7 +85,10 @@ struct StampContext {
   void stamp_vccs(NodeId out_p, NodeId out_m, NodeId cp, NodeId cm,
                   double g) const;
   /// Jacobian entry dI(row_node)/dV(col_node) += g.
-  void stamp_jacobian(NodeId row_node, NodeId col_node, double g) const;
+  void stamp_jacobian(NodeId row_node, NodeId col_node, double g) const {
+    if (row_node == kGround || col_node == kGround) return;
+    add_a(std::size_t(row_node - 1), std::size_t(col_node - 1), g);
+  }
 
   // --- branch-row helpers (row = node_count-1+branch) ----------------------
   int branch_row(int node_count, int branch) const {
@@ -96,8 +108,15 @@ struct StampContext {
   void stamp_branch_rhs(int node_count, int branch, double value) const;
 
  private:
-  /// Accumulate into the live Jacobian target (dense or sparse).
-  void add_a(std::size_t r, std::size_t c, double v) const;
+  /// Accumulate into the live Jacobian target (dense or sparse). Inline
+  /// with the helpers above, so an element's stamp compiles to a run of
+  /// StampedMatrix::add calls that each replay one stamp-tape entry.
+  void add_a(std::size_t r, std::size_t c, double v) const {
+    if (sa)
+      sa->add(r, c, v);
+    else
+      (*a)(r, c) += v;
+  }
 };
 
 /// Context for small-signal (AC) stamping: the complex MNA system

@@ -201,10 +201,17 @@ void StampedMatrix::begin_pattern(std::size_t n) {
   row_ptr_.clear();
   col_idx_.clear();
   values_.clear();
+  tape_.clear();
+  cursor_ = 0;
 }
 
 void StampedMatrix::finalize_pattern() {
   SSN_REQUIRE(discovering_, "StampedMatrix::finalize_pattern: not discovering");
+  // The stamp tape keeps the discovery adds in call order; their slots are
+  // resolved once the CSR arrays exist.
+  tape_.resize(triplets_.size());
+  for (std::size_t i = 0; i < triplets_.size(); ++i)
+    tape_[i] = {triplets_[i].r, triplets_[i].c, 0};
   std::sort(triplets_.begin(), triplets_.end(),
             [](const Triplet& a, const Triplet& b) {
               return a.r != b.r ? a.r < b.r : a.c < b.c;
@@ -225,6 +232,8 @@ void StampedMatrix::finalize_pattern() {
     }
   }
   row_ptr_[n_] = col_idx_.size();
+  for (TapeEntry& e : tape_) e.slot = slot(e.r, e.c);
+  cursor_ = tape_.size();  // the discovery pass was the tape's first run
   triplets_.clear();
   triplets_.shrink_to_fit();
   discovering_ = false;
@@ -239,15 +248,18 @@ void StampedMatrix::reset_pattern() {
   row_ptr_.clear();
   col_idx_.clear();
   values_.clear();
+  tape_.clear();
+  cursor_ = 0;
 }
 
 void StampedMatrix::clear() {
   SSN_REQUIRE(has_pattern(), "StampedMatrix::clear: no finalized pattern");
   std::fill(values_.begin(), values_.end(), 0.0);
   missed_ = 0;
+  cursor_ = 0;
 }
 
-void StampedMatrix::add(std::size_t r, std::size_t c, double v) {
+void StampedMatrix::add_searched(std::size_t r, std::size_t c, double v) {
   if (r >= n_ || c >= n_)
     throw std::out_of_range("StampedMatrix::add: index out of range");
   if (discovering_) {

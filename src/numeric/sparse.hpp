@@ -24,12 +24,22 @@ namespace ssnkit::numeric {
 ///    discovery pass doubles as a normal assembly — the merged values are
 ///    immediately usable.
 ///  - bound: with a finalized pattern, clear() zeroes the values and add()
-///    accumulates into the existing slot via binary search. An add() at a
+///    accumulates into the existing slot. finalize_pattern() records the
+///    discovery pass's adds in call order with their resolved slots (the
+///    stamp tape), and clear() rewinds a cursor over it: an add() whose
+///    (row, col) is the next tape entry goes straight to that slot, with
+///    no search. Elements stamp the same coordinates in the same order at
+///    every Newton iteration, so in steady state every add() replays the
+///    tape. Any other add() (out of order, after a skipped entry, or extra)
+///    finds its slot by binary search over its row; either way each slot
+///    accumulates the same values in the same order. An add() at a
 ///    coordinate outside the pattern is counted in missed() instead of
 ///    stored — the caller asserts the pattern held and rebuilds if not.
 ///
 /// epoch() increments on every finalize_pattern(), letting factorizations
-/// detect that their symbolic analysis went stale.
+/// detect that their symbolic analysis went stale. The tape lives and dies
+/// with the pattern it indexes: begin_pattern() and reset_pattern() drop
+/// it.
 class StampedMatrix {
  public:
   StampedMatrix() = default;
@@ -48,12 +58,29 @@ class StampedMatrix {
   /// Pattern generation counter (0 = never finalized).
   std::size_t epoch() const { return epoch_; }
 
-  /// Zero the values for a fresh bound-mode assembly; resets missed().
+  /// Zero the values for a fresh bound-mode assembly, rewind the stamp
+  /// tape and reset missed().
   void clear();
   /// Accumulate a value (both modes; see class comment).
-  void add(std::size_t r, std::size_t c, double v);
+  void add(std::size_t r, std::size_t c, double v) {
+    if (cursor_ < tape_.size()) {
+      const TapeEntry& e = tape_[cursor_];
+      if (e.r == r && e.c == c) {
+        ++cursor_;
+        values_[e.slot] += v;
+        return;
+      }
+    }
+    add_searched(r, c, v);
+  }
   /// Bound-mode adds that fell outside the pattern since the last clear().
   std::size_t missed() const { return missed_; }
+  /// Stamp tape length: the discovery pass's add() count (0 when there is
+  /// no finalized pattern).
+  std::size_t tape_size() const { return tape_.size(); }
+  /// Tape entries replayed since the last clear(); equals tape_size() after
+  /// an assembly that repeated the discovery pass's adds in order.
+  std::size_t tape_position() const { return cursor_; }
 
   /// Entry lookup (0 when absent). Pattern must be finalized.
   double at(std::size_t r, std::size_t c) const;
@@ -70,10 +97,16 @@ class StampedMatrix {
  private:
   /// Slot of (r, c) in the CSR arrays, or npos when outside the pattern.
   std::size_t slot(std::size_t r, std::size_t c) const;
+  /// add() off the tape: range check, then the discovery triplet or the
+  /// searched bound-mode slot (or a missed() count).
+  void add_searched(std::size_t r, std::size_t c, double v);
 
   struct Triplet {
     std::size_t r = 0, c = 0;
     double v = 0.0;
+  };
+  struct TapeEntry {
+    std::size_t r = 0, c = 0, slot = 0;
   };
 
   std::size_t n_ = 0;
@@ -83,6 +116,8 @@ class StampedMatrix {
   std::vector<Triplet> triplets_;  // discovery only; freed on finalize
   std::vector<std::size_t> row_ptr_, col_idx_;
   std::vector<double> values_;
+  std::vector<TapeEntry> tape_;  // discovery adds in call order
+  std::size_t cursor_ = 0;       // next tape entry to replay
 };
 
 /// Sparse LU (Gilbert–Peierls, partial pivoting) split into a full

@@ -40,13 +40,16 @@ namespace {
 /// run_transient each own one, so after the first assembly every Newton
 /// iteration runs without heap allocation.
 struct SolverWorkspace {
+  explicit SolverWorkspace(std::size_t& rebuilds) : pattern_rebuilds(rebuilds) {}
+
   numeric::StampedMatrix a;   ///< stamped Jacobian, pattern cached
   Vector b;                   ///< RHS
   Vector x_new;               ///< Newton update target
   Vector scratch;             ///< residual work vector
   Vector scratch2;            ///< second scratch for iterative refinement
   numeric::SparseFactor lu;   ///< symbolic analysis reused across iterations
-  std::size_t pattern_rebuilds = 0;  ///< release-mode pattern drift repairs
+  /// Release-mode pattern drift repairs, counted into the caller's result.
+  std::size_t& pattern_rebuilds;
   /// The last factor_jacobian call fell back to a re-pivoted full
   /// factorization because a reused pivot degraded — the near-singular
   /// regime where a solve deserves a refinement step.
@@ -383,7 +386,7 @@ DcResult dc_operating_point(Circuit& ckt, double time, const NewtonOptions& newt
   // One workspace for every homotopy stage: gmin and source_scale only
   // change stamped values, never the sparsity pattern, so the symbolic
   // analysis from the first factorization carries through the whole ladder.
-  SolverWorkspace ws;
+  SolverWorkspace ws(out.pattern_rebuilds);
 
   // Failure bookkeeping: the trail records every stage; the last failed
   // outcome classifies the error and locates the stall.
@@ -498,7 +501,7 @@ TransientRun run_transient_ex(Circuit& ckt, const TransientOptions& opts) {
   // Transient workspace: pattern discovery + symbolic analysis happen at the
   // first Newton iteration of the first step; every later iteration stamps
   // into the cached pattern and refactorizes numerically.
-  SolverWorkspace ws;
+  SolverWorkspace ws(result.stats.pattern_rebuilds);
 
   // Preallocate the result columns and the snapshot row so steady-state
   // stepping appends without reallocation. The estimate is the fixed-step
@@ -521,6 +524,7 @@ TransientRun run_transient_ex(Circuit& ckt, const TransientOptions& opts) {
       result.stats.dc_iterations = dc.iterations;
       result.stats.dc_used_gmin_stepping = dc.used_gmin_stepping;
       result.stats.dc_used_source_stepping = dc.used_source_stepping;
+      result.stats.pattern_rebuilds += dc.pattern_rebuilds;
       x = std::move(dc.solution);
     } catch (const SolverError& e) {
       SolverDiagnostics diag = e.diagnostics();

@@ -64,6 +64,7 @@ struct DcResult {
   std::size_t iterations = 0;
   bool used_gmin_stepping = false;
   bool used_source_stepping = false;
+  std::size_t pattern_rebuilds = 0;  ///< see SolverStats::pattern_rebuilds
   /// Every homotopy stage that ran (plain Newton, each gmin value, each
   /// source scale) with its convergence status and final residual.
   std::vector<support::HomotopyStage> homotopy_trail;

@@ -30,6 +30,11 @@ struct SolverStats {
   // The run's final transient factorization; factor / matrix is the fill.
   std::size_t matrix_nonzeros = 0;  ///< stored Jacobian entries
   std::size_t factor_nonzeros = 0;  ///< stored L + U entries
+  /// Stamp patterns rediscovered because an element stamped outside the
+  /// cached one (DC and transient). Patterns are fixed per (circuit, mode),
+  /// so anything but 0 names an element-model bug that release builds
+  /// repaired; debug builds assert instead.
+  std::size_t pattern_rebuilds = 0;
 };
 
 class TransientResult {

@@ -4,7 +4,9 @@
 // doubling the number of steps must not meaningfully change the total
 // allocation count (growth comes only from the recorded waveform, which
 // both runs pre-reserve). A counting global operator new catches any
-// per-step Matrix/Vector construction someone reintroduces.
+// per-step Matrix/Vector construction someone reintroduces. It runs on the
+// folded bench (7 unknowns) and on an unfolded one, whose stamp pattern
+// and stamp tape run to hundreds of entries.
 //
 // This file overrides the global allocator, so it must stay its own test
 // binary (see tests/CMakeLists.txt) and must not be linked with sanitizer
@@ -45,10 +47,26 @@ namespace {
 
 using namespace ssnkit;
 
-/// Allocations of a fixed-step transient with `steps` accepted points.
-std::size_t count_transient_allocs(std::size_t steps) {
+/// The folded default bench: 4 identical drivers, 7 unknowns.
+circuit::SsnBenchSpec folded_bench() {
   circuit::SsnBenchSpec spec;
   spec.n_drivers = 4;
+  return spec;
+}
+
+/// 24 drivers, each with its own input delay, so none fold: 76 unknowns,
+/// and a stamp pattern and tape of hundreds of entries.
+circuit::SsnBenchSpec staggered_bench() {
+  circuit::SsnBenchSpec spec;
+  spec.n_drivers = 24;
+  for (int i = 0; i < spec.n_drivers; ++i)
+    spec.stagger.push_back(double(i) * 2e-12);
+  return spec;
+}
+
+/// Allocations of a fixed-step transient with `steps` accepted points.
+std::size_t count_transient_allocs(std::size_t steps,
+                                   const circuit::SsnBenchSpec& spec) {
   auto bench = circuit::make_ssn_testbench(spec);
 
   sim::TransientOptions opts;
@@ -66,16 +84,17 @@ std::size_t count_transient_allocs(std::size_t steps) {
   return g_allocs.load(std::memory_order_relaxed);
 }
 
-TEST(AllocRegression, TransientStepsDoNotAllocate) {
+/// Doubling the accepted steps of `spec`'s bench must not add allocations.
+void expect_steps_do_not_allocate(const circuit::SsnBenchSpec& spec) {
   const std::size_t small = 200;
   const std::size_t large = 400;
 
   // Warm-up run absorbs one-time lazy initialization (gtest, locale,
   // element caches) so the two measured runs see identical fixed costs.
-  (void)count_transient_allocs(small);
+  (void)count_transient_allocs(small, spec);
 
-  const std::size_t a_small = count_transient_allocs(small);
-  const std::size_t a_large = count_transient_allocs(large);
+  const std::size_t a_small = count_transient_allocs(small, spec);
+  const std::size_t a_large = count_transient_allocs(large, spec);
 
   // Everything per-run (workspace, pattern, factor, reserves) is identical;
   // the extra `large - small` accepted steps must contribute nothing. The
@@ -87,11 +106,19 @@ TEST(AllocRegression, TransientStepsDoNotAllocate) {
                         << a_large << " when doubling accepted steps";
 }
 
+TEST(AllocRegression, TransientStepsDoNotAllocate) {
+  expect_steps_do_not_allocate(folded_bench());
+}
+
+TEST(AllocRegression, UnfoldedTransientStepsDoNotAllocate) {
+  expect_steps_do_not_allocate(staggered_bench());
+}
+
 TEST(AllocRegression, SecondRunCostsNoMoreThanFirst) {
   // The workspace is per-call, so runs are independent; this guards against
   // accidental global-state growth (e.g. an append-only cache).
-  const std::size_t first = count_transient_allocs(200);
-  const std::size_t second = count_transient_allocs(200);
+  const std::size_t first = count_transient_allocs(200, folded_bench());
+  const std::size_t second = count_transient_allocs(200, folded_bench());
   EXPECT_LE(second, first + 8);
 }
 
