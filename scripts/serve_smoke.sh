@@ -4,9 +4,9 @@
 #
 #   leg 1  stdin mode: repeated request answers from the cache, a restarted
 #          daemon warms the cache from its crash-safe spill file
-#   leg 2  socket mode: start the daemon, fire closed-loop load through
-#          bench_serve --connect plus one deliberately slow request, SIGTERM
-#          the daemon mid-load, and assert the clean-drain contract:
+#   leg 2  socket mode: start the daemon, fire closed-loop load from four
+#          connections plus one deliberately slow client, SIGTERM the
+#          daemon mid-load, and assert the clean-drain contract:
 #            - the daemon exits 0
 #            - every line it printed is valid JSON (checked with jq)
 #            - stats report accepted == responded (no accepted request lost)
@@ -19,18 +19,13 @@
 # the drain is then trivial but still exercised end to end, so the
 # assertions hold either way.
 #
-# Usage: scripts/serve_smoke.sh [path/to/ssnkit [path/to/bench_serve]]
+# Usage: scripts/serve_smoke.sh [path/to/ssnkit]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 SSNKIT=${1:-build/tools/ssnkit}
-BENCH=${2:-build/bench/bench_serve}
 if [ ! -x "$SSNKIT" ]; then
   echo "serve_smoke: $SSNKIT not built" >&2
-  exit 2
-fi
-if [ ! -x "$BENCH" ]; then
-  echo "serve_smoke: $BENCH not built" >&2
   exit 2
 fi
 
@@ -69,11 +64,57 @@ done
 [ -S "$SOCK" ] || { echo "serve_smoke: socket never appeared" >&2
                     cat "$WORK/serve.log" >&2; exit 1; }
 
-# Closed-loop load over the socket (ignore its exit status: once the drain
-# starts, its in-flight connections are legitimately shed or closed).
-"$BENCH" --connect "$SOCK" --requests 100000 --clients 4 --dup-frac 0.2 \
-    --out "$WORK/bench.json" > "$WORK/bench.log" 2>&1 &
-BENCH_PID=$!
+# Closed-loop load over the socket: four connections, one request
+# outstanding on each. Every request carries its own rise time except every
+# fifth, which repeats the one before it (a cache hit when that one is
+# done). Once the drain starts, in-flight connections are legitimately shed
+# or closed; the client then stops quietly.
+python3 - "$SOCK" > "$WORK/load.log" 2>&1 <<'EOF' &
+import socket, sys, threading
+CONNS, MAX_REQUESTS = 4, 100000
+lock = threading.Lock()
+state = {"next": 0, "ok": 0, "cached": 0, "other": 0}
+
+def body(i):
+    k = i - 1 if i % 5 == 4 else i
+    return '"cmd":"estimate","n":8,"tr":%.9e' % (1e-10 * (1 + 1e-5 * k))
+
+def client():
+    try:
+        s = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        s.connect(sys.argv[1])
+        replies = s.makefile("rb")
+        while True:
+            with lock:
+                i = state["next"]
+                state["next"] += 1
+            if i >= MAX_REQUESTS:
+                return
+            tag = b'"id":"c%d"' % i
+            s.sendall(b"{%s,%s}\n" % (tag, body(i).encode()))
+            line = b""
+            while tag not in line:
+                line = replies.readline()
+                if not line:
+                    return  # the drain closed the connection
+            with lock:
+                if b'"ok":true' not in line:
+                    state["other"] += 1
+                elif b'"cached":true' in line:
+                    state["cached"] += 1
+                else:
+                    state["ok"] += 1
+    except OSError:
+        return  # connection refused or reset by the drain
+
+threads = [threading.Thread(target=client) for _ in range(CONNS)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join()
+print("load: %(ok)d computed, %(cached)d cached, %(other)d shed or failed" % state)
+EOF
+LOAD_PID=$!
 
 # Deliberately slow requests so the SIGTERM reliably has in-flight work to
 # drain (and, past the 2 s drain deadline, to cancel with SSN-E066): 64
@@ -104,7 +145,7 @@ set +e
 wait "$SERVE_PID"
 RC=$?
 SERVE_PID=""
-wait "$BENCH_PID" 2> /dev/null
+wait "$LOAD_PID" 2> /dev/null
 wait "$SLOW_PID" 2> /dev/null
 set -e
 
@@ -144,13 +185,14 @@ STATS=$(grep '"event":"stats"' "$WORK/serve.log" | tail -1)
 ACCEPTED=$(echo "$STATS" | jq -r .accepted)
 RESPONDED=$(echo "$STATS" | jq -r .responded)
 echo "stats: accepted=$ACCEPTED responded=$RESPONDED"
+tail -1 "$WORK/load.log"
 if [ "$ACCEPTED" != "$RESPONDED" ]; then
   echo "serve_smoke: lost accepted requests ($ACCEPTED accepted, $RESPONDED responded)" >&2
   exit 1
 fi
 if [ "$ACCEPTED" -lt 1 ]; then
-  echo "serve_smoke: load generator never got a request admitted" >&2
-  cat "$WORK/bench.log" >&2
+  echo "serve_smoke: load client never got a request admitted" >&2
+  cat "$WORK/load.log" >&2
   exit 1
 fi
 

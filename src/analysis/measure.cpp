@@ -3,6 +3,7 @@
 #include "core/l_only_model.hpp"
 #include "core/lc_model.hpp"
 #include "support/contracts.hpp"
+#include "verify/physics.hpp"
 
 #include <algorithm>
 #include <utility>
@@ -10,6 +11,9 @@
 namespace ssnkit::analysis {
 
 namespace {
+
+// Samples on each closed-form waveform of the analytic rung.
+constexpr std::size_t kAnalyticPoints = 512;
 
 /// The paper's quantities off a completed transient of `bench`.
 SsnMeasurement extract(const circuit::SsnBench& bench,
@@ -75,35 +79,33 @@ ResilientMeasurement measure_ssn(circuit::SsnBench& bench,
   return out;
 }
 
-SsnMeasurement analytic_measurement(const core::SsnScenario& scenario,
-                                    std::size_t points) {
+SsnMeasurement analytic_measurement(const core::SsnScenario& scenario) {
   scenario.validate();
   SsnMeasurement m;
   if (scenario.capacitance > 0.0) {
     const core::LcModel model(scenario);
     m.v_max = model.v_max();
-    m.vssi = model.vn_waveform(points);
-    m.i_l = model.current_waveform(points);
+    m.vssi = model.vn_waveform(kAnalyticPoints);
+    m.i_l = model.current_waveform(kAnalyticPoints);
   } else {
     const core::LOnlyModel model(scenario);
     m.v_max = model.v_max();
-    m.vssi = model.vn_waveform(points);
-    m.i_l = model.current_waveform(points);
+    m.vssi = model.vn_waveform(kAnalyticPoints);
+    m.i_l = model.current_waveform(kAnalyticPoints);
   }
   // v_max comes from the exact Table 1 / Eqn 7 formula; the peak *time* is
   // read off the sampled waveform (good to the sampling resolution).
   m.t_at_max = m.vssi.maximum_in(0.0, scenario.t_ramp_end()).t;
   m.vin = waveform::Waveform::from_function(
       [&](double t) { return std::min(scenario.slope * t, scenario.vdd); },
-      0.0, scenario.t_ramp_end(), points);
+      0.0, scenario.t_ramp_end(), kAnalyticPoints);
   // No closed form exists for the driver output node; it stays empty.
   return m;
 }
 
-void verify_measurement(SsnMeasurement& m, const core::SsnScenario& scenario,
-                        const verify::PhysicsCheckOptions& opts) {
+void verify_measurement(SsnMeasurement& m, const core::SsnScenario& scenario) {
   const verify::PhysicsFindings findings = verify::check_ground_path(
-      scenario, m.vssi, m.i_l, m.v_max, m.t_at_max, opts);
+      scenario, m.vssi, m.i_l, m.v_max, m.t_at_max);
   verify::apply(findings, m.trust);
 }
 

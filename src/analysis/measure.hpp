@@ -16,7 +16,6 @@
 #include "sim/engine.hpp"
 #include "sim/recovery.hpp"
 #include "support/diagnostics.hpp"
-#include "verify/physics.hpp"
 #include "verify/trust.hpp"
 #include "waveform/waveform.hpp"
 
@@ -82,15 +81,13 @@ ResilientMeasurement measure_ssn(
 
 /// Evaluate the closed-form measurement directly (the analytic rung on its
 /// own).
-SsnMeasurement analytic_measurement(const core::SsnScenario& scenario,
-                                    std::size_t points = 512);
+SsnMeasurement analytic_measurement(const core::SsnScenario& scenario);
 
 /// Run the src/verify physics invariants on a simulated measurement and
 /// fold the findings into its trust report: passivity of the ground path,
 /// V_max/extremum consistency with the fitted Table 1 damping case. Needs
 /// the calibrated scenario (package L plus the fitted ASDM device select
 /// the damping case); violations downgrade trust, never throw.
-void verify_measurement(SsnMeasurement& m, const core::SsnScenario& scenario,
-                        const verify::PhysicsCheckOptions& opts = {});
+void verify_measurement(SsnMeasurement& m, const core::SsnScenario& scenario);
 
 }  // namespace ssnkit::analysis

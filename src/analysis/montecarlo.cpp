@@ -12,6 +12,16 @@
 
 namespace ssnkit::analysis {
 
+namespace {
+
+// Relative sigmas of the simulator-backed Monte Carlo's variation factors.
+constexpr double kSimSigmaL = 0.10;      // package inductance
+constexpr double kSimSigmaC = 0.10;      // pad capacitance
+constexpr double kSimSigmaRise = 0.05;   // input rise time
+constexpr double kSimSigmaWidth = 0.05;  // driver width (scales the fitted K)
+
+}  // namespace
+
 void MonteCarloOptions::validate() const {
   if (samples < 2)
     throw std::invalid_argument("MonteCarloOptions: samples must be >= 2");
@@ -110,10 +120,6 @@ MonteCarloResult monte_carlo_vmax(const core::SsnScenario& nominal,
 void SimMonteCarloOptions::validate() const {
   if (samples < 1)
     throw std::invalid_argument("SimMonteCarloOptions: samples must be >= 1");
-  for (double s : {sigma_l, sigma_c, sigma_rise, sigma_width})
-    if (s < 0.0 || s > 0.5)
-      throw std::invalid_argument(
-          "SimMonteCarloOptions: sigmas must be in [0, 0.5] (relative)");
 }
 
 SimMonteCarloResult monte_carlo_vmax_sim(const Calibration& cal,
@@ -139,10 +145,10 @@ SimMonteCarloResult monte_carlo_vmax_sim(const Calibration& cal,
   for (int i = 0; i < opts.samples; ++i) {
     SimMcSample& s = out.samples[std::size_t(i)];
     s.index = i;
-    s.l_factor = vary(opts.sigma_l);
-    s.c_factor = vary(opts.sigma_c);
-    s.rise_factor = vary(opts.sigma_rise);
-    s.width_factor = vary(opts.sigma_width);
+    s.l_factor = vary(kSimSigmaL);
+    s.c_factor = vary(kSimSigmaC);
+    s.rise_factor = vary(kSimSigmaRise);
+    s.width_factor = vary(kSimSigmaWidth);
   }
 
   // One batch point per sample: K scales with the driver width, everything

@@ -73,18 +73,15 @@ MonteCarloResult monte_carlo_vmax(const core::SsnScenario& nominal,
 // --- simulation-level Monte Carlo (failure tolerant) -------------------------
 
 /// Options for the simulator-backed Monte Carlo. Each sample perturbs the
-/// package parasitics, the input edge and the driver width and runs the full
-/// MNA transient through the batch core; a failing sample degrades to a
-/// recovery rung or, when its whole simulation ladder fails, to the
+/// package parasitics (relative sigma 10 % on L and C), the input edge and
+/// the driver width (5 % each; the width scales the fitted K) and runs the
+/// full MNA transient through the batch core; a failing sample degrades to
+/// a recovery rung or, when its whole simulation ladder fails, to the
 /// calibrated closed form (tagged kAnalytic). Failures never abort the
 /// batch.
 struct SimMonteCarloOptions {
   int samples = 16;  ///< full transients are costly; keep batches small
   unsigned seed = 12345;
-  double sigma_l = 0.10;      ///< package inductance
-  double sigma_c = 0.10;      ///< pad capacitance
-  double sigma_rise = 0.05;   ///< input rise time
-  double sigma_width = 0.05;  ///< driver width (scales the fitted K)
   /// Threads, lifecycle and checkpoint/resume.
   BatchOptions batch;
 

@@ -15,6 +15,12 @@ namespace {
 using io::DiagnosticSink;
 using support::SrcLoc;
 
+// SSN-W106 thresholds: values above these are suspicious for an on-package
+// parasitic netlist (the paper's domain: pF / nH / ohms).
+constexpr double kMaxPlausibleCapacitance = 1e-3;  // farads
+constexpr double kMaxPlausibleInductance = 1.0;    // henries
+constexpr double kMaxPlausibleResistance = 1e12;   // ohms
+
 SrcLoc loc_of(const ValidateOptions& opt) { return SrcLoc{opt.source_name, 0, 0}; }
 
 /// Minimal union-find over node ids for the inductor/voltage-source loop
@@ -54,7 +60,7 @@ void check_value(const ValidateOptions& opt, DiagnosticSink& sink,
                name);
     return;
   }
-  if (opt.unit_sanity && value > warn_above) {
+  if (value > warn_above) {
     sink.warning(loc_of(opt), "SSN-W106",
                  "element '" + name + "' has an implausible " + quantity +
                      " of " + io::si_format(value) +
@@ -107,13 +113,13 @@ bool validate_circuit(const Circuit& circuit, DiagnosticSink& sink,
   for (const auto& e : elements) {
     if (const auto* r = dynamic_cast<const Resistor*>(e.get())) {
       check_value(opt, sink, r->name(), "resistance", r->resistance(),
-                  opt.max_plausible_resistance);
+                  kMaxPlausibleResistance);
     } else if (const auto* c = dynamic_cast<const Capacitor*>(e.get())) {
       check_value(opt, sink, c->name(), "capacitance", c->capacitance(),
-                  opt.max_plausible_capacitance);
+                  kMaxPlausibleCapacitance);
     } else if (const auto* l = dynamic_cast<const Inductor*>(e.get())) {
       check_value(opt, sink, l->name(), "inductance", l->inductance(),
-                  opt.max_plausible_inductance);
+                  kMaxPlausibleInductance);
     } else if (const auto* k = dynamic_cast<const CoupledInductors*>(e.get())) {
       if (!std::isfinite(k->coupling()) || std::abs(k->coupling()) >= 1.0)
         sink.error(loc_of(opt), "SSN-E103",

@@ -15,8 +15,9 @@
 //               element terminals — usually a typo'd node name)
 //     SSN-W104  inductor / voltage-source loop (DC operating point is
 //               singular without gmin rescue)
-//     SSN-W106  unit-sanity heuristic (a 1 F "bond-wire" capacitor, a 1 H
-//               package inductor, a teraohm resistor: suffix mistakes)
+//     SSN-W106  unit-sanity heuristic (a capacitor above 1 mF, an inductor
+//               above 1 H, a resistor above 1 Tohm: suffix mistakes in an
+//               on-package parasitic netlist of pF / nH / ohms)
 //
 // Validation never throws and never mutates the circuit.
 #pragma once
@@ -29,13 +30,6 @@ namespace ssnkit::circuit {
 struct ValidateOptions {
   /// File name stamped into diagnostic locations ("netlist", a path, ...).
   std::string source_name = "<circuit>";
-  /// Enable the SSN-W106 magnitude heuristics.
-  bool unit_sanity = true;
-  /// SSN-W106 thresholds: values above these are suspicious for an
-  /// on-package parasitic netlist (the paper's domain: pF / nH / ohms).
-  double max_plausible_capacitance = 1e-3;   ///< farads
-  double max_plausible_inductance = 1.0;     ///< henries
-  double max_plausible_resistance = 1e12;    ///< ohms
 };
 
 /// Run every semantic check, appending findings to `sink`. Returns true

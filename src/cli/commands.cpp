@@ -22,6 +22,7 @@
 #include "support/faultinject.hpp"
 #include "support/journal.hpp"
 #include "support/runcontext.hpp"
+#include "verify/physics.hpp"
 
 #include <cstdint>
 #include <cstdlib>

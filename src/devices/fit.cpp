@@ -13,6 +13,13 @@ namespace ssnkit::devices {
 using numeric::Matrix;
 using numeric::Vector;
 
+namespace {
+
+// fit_asdm keeps samples above this fraction of the region's peak current.
+constexpr double kOnCurrentFloor = 0.02;
+
+}  // namespace
+
 void AsdmFitRegion::validate() const {
   if (!(vg_hi > vg_lo)) throw std::invalid_argument("AsdmFitRegion: vg range empty");
   if (!(vs_hi >= vs_lo)) throw std::invalid_argument("AsdmFitRegion: vs range empty");
@@ -20,11 +27,8 @@ void AsdmFitRegion::validate() const {
     throw std::invalid_argument("AsdmFitRegion: need n_vg >= 2 and n_vs >= 1");
 }
 
-AsdmFitResult fit_asdm(const MosfetModel& golden, const AsdmFitRegion& region,
-                       double on_current_floor) {
+AsdmFitResult fit_asdm(const MosfetModel& golden, const AsdmFitRegion& region) {
   region.validate();
-  if (on_current_floor < 0.0 || on_current_floor >= 1.0)
-    throw std::invalid_argument("fit_asdm: on_current_floor must be in [0, 1)");
 
   // Sample the golden surface over the SSN region: vds = vd - vs,
   // vgs = vg - vs, vbs = -vs (bulk at true ground).
@@ -52,7 +56,7 @@ AsdmFitResult fit_asdm(const MosfetModel& golden, const AsdmFitRegion& region,
     throw std::runtime_error("fit_asdm: golden device never conducts in region");
 
   // Keep conducting samples only (the paper's near-threshold exclusion).
-  const double floor_current = on_current_floor * id_max;
+  const double floor_current = kOnCurrentFloor * id_max;
   std::erase_if(samples, [&](const Sample& s) { return s.id < floor_current; });
   if (samples.size() < 4)
     throw std::runtime_error("fit_asdm: too few conducting samples in region");

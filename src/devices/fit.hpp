@@ -39,11 +39,10 @@ struct AsdmFitResult {
 };
 
 /// Least-squares ASDM extraction from a golden model. Only grid points
-/// where the golden device conducts (current above `on_current_floor`
-/// times the region's maximum current) enter the fit — this is the paper's
-/// "discard the near-threshold region" rule.
-AsdmFitResult fit_asdm(const MosfetModel& golden, const AsdmFitRegion& region,
-                       double on_current_floor = 0.02);
+/// where the golden device conducts (current above 2 % of the region's
+/// maximum current) enter the fit — this is the paper's "discard the
+/// near-threshold region" rule.
+AsdmFitResult fit_asdm(const MosfetModel& golden, const AsdmFitRegion& region);
 
 struct AlphaPowerFitResult {
   AlphaPowerParams params;

@@ -12,6 +12,7 @@ namespace ssnkit::io {
 namespace {
 
 constexpr char kGlyphs[] = {'*', '+', 'o', 'x', '#', '@'};
+constexpr int kChartHeight = 18;  // plot rows
 
 }  // namespace
 
@@ -21,8 +22,8 @@ std::string ascii_series_chart(
   if (series.empty()) throw std::invalid_argument("ascii_chart: no series");
   if (series.size() != names.size())
     throw std::invalid_argument("ascii_chart: names/series mismatch");
-  const int w = std::max(opts.width, 16);
-  const int h = std::max(opts.height, 6);
+  const int w = kChartWidth;
+  const int h = kChartHeight;
 
   double xmin = std::numeric_limits<double>::infinity(), xmax = -xmin;
   double ymin = xmin, ymax = -xmin;

@@ -11,9 +11,10 @@
 
 namespace ssnkit::io {
 
+/// Plot columns of every chart.
+inline constexpr int kChartWidth = 72;
+
 struct ChartOptions {
-  int width = 72;    ///< plot columns
-  int height = 18;   ///< plot rows
   std::string title;
   std::string x_label = "t";
   std::string y_label = "v";

@@ -10,6 +10,12 @@ namespace ssnkit::numeric {
 
 namespace {
 
+constexpr int kMaxIterations = 200;
+constexpr double kGradientTol = 1e-10;   // stop when ||J^T r||_inf is below this
+constexpr double kStepTol = 1e-12;       // stop when the step is this small
+constexpr double kInitialLambda = 1e-3;  // initial damping
+constexpr double kFdStep = 1e-6;         // relative finite-difference step for J
+
 void clamp_to_bounds(Vector& p, const LmOptions& opts) {
   if (!opts.lower_bounds.empty())
     for (std::size_t i = 0; i < p.size(); ++i)
@@ -45,13 +51,13 @@ LmResult levenberg_marquardt(const ResidualFn& residual, Vector p0,
   SSN_REQUIRE(std::isfinite(cost),
               "levenberg_marquardt: residual is non-finite at the initial "
               "parameters (NaN/Inf cost)");
-  double lambda = opts.initial_lambda;
+  double lambda = kInitialLambda;
   Matrix jac(m, n);
 
-  for (out.iterations = 0; out.iterations < opts.max_iterations; ++out.iterations) {
+  for (out.iterations = 0; out.iterations < kMaxIterations; ++out.iterations) {
     // Forward-difference Jacobian.
     for (std::size_t j = 0; j < n; ++j) {
-      const double h = opts.fd_step * std::max(std::fabs(p[j]), 1e-8);
+      const double h = kFdStep * std::max(std::fabs(p[j]), 1e-8);
       Vector pj = p;
       pj[j] += h;
       clamp_to_bounds(pj, opts);
@@ -86,7 +92,7 @@ LmResult levenberg_marquardt(const ResidualFn& residual, Vector p0,
 
     double grad_inf = 0.0;
     for (std::size_t a = 0; a < n; ++a) grad_inf = std::max(grad_inf, std::fabs(jtr[a]));
-    if (grad_inf < opts.gradient_tol) {
+    if (grad_inf < kGradientTol) {
       out.converged = true;
       break;
     }
@@ -117,7 +123,7 @@ LmResult levenberg_marquardt(const ResidualFn& residual, Vector p0,
         SSN_ASSERT_FINITE(cost);
         lambda = std::max(lambda * 0.3, 1e-14);
         improved = true;
-        if (step_norm < opts.step_tol) {
+        if (step_norm < kStepTol) {
           out.converged = true;
           out.iterations++;
           goto done;

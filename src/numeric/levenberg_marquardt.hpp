@@ -15,11 +15,6 @@ namespace ssnkit::numeric {
 using ResidualFn = std::function<void(const Vector& p, Vector& r)>;
 
 struct LmOptions {
-  int max_iterations = 200;
-  double gradient_tol = 1e-10;   ///< stop when ||J^T r||_inf is below this
-  double step_tol = 1e-12;       ///< stop when the step is this small
-  double initial_lambda = 1e-3;  ///< initial damping
-  double fd_step = 1e-6;         ///< relative finite-difference step for J
   /// Optional per-parameter lower/upper bounds (empty = unbounded).
   Vector lower_bounds;
   Vector upper_bounds;

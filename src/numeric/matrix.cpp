@@ -1,17 +1,12 @@
 #include "numeric/matrix.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <ostream>
 #include <stdexcept>
 
 namespace ssnkit::numeric {
 
 double& Vector::at(std::size_t i) {
-  if (i >= data_.size()) throw std::out_of_range("Vector::at: index out of range");
-  return data_[i];
-}
-
-double Vector::at(std::size_t i) const {
   if (i >= data_.size()) throw std::out_of_range("Vector::at: index out of range");
   return data_[i];
 }
@@ -59,7 +54,6 @@ double Vector::dot(const Vector& rhs) const {
 Vector operator+(Vector lhs, const Vector& rhs) { return lhs += rhs; }
 Vector operator-(Vector lhs, const Vector& rhs) { return lhs -= rhs; }
 Vector operator*(double s, Vector v) { return v *= s; }
-Vector operator*(Vector v, double s) { return v *= s; }
 
 Matrix::Matrix(std::initializer_list<std::initializer_list<double>> rows) {
   rows_ = rows.size();
@@ -77,50 +71,11 @@ Matrix Matrix::identity(std::size_t n) {
   return m;
 }
 
-double& Matrix::at(std::size_t r, std::size_t c) {
-  if (r >= rows_ || c >= cols_) throw std::out_of_range("Matrix::at: index out of range");
-  return data_[r * cols_ + c];
-}
-
-double Matrix::at(std::size_t r, std::size_t c) const {
-  if (r >= rows_ || c >= cols_) throw std::out_of_range("Matrix::at: index out of range");
-  return data_[r * cols_ + c];
-}
-
-void Matrix::resize(std::size_t rows, std::size_t cols, double fill) {
-  rows_ = rows;
-  cols_ = cols;
-  data_.assign(rows * cols, fill);
-}
-
-void Matrix::fill(double value) {
-  for (double& x : data_) x = value;
-}
-
 Matrix Matrix::transposed() const {
   Matrix t(cols_, rows_);
   for (std::size_t r = 0; r < rows_; ++r)
     for (std::size_t c = 0; c < cols_; ++c) t(c, r) = (*this)(r, c);
   return t;
-}
-
-Matrix& Matrix::operator+=(const Matrix& rhs) {
-  if (rhs.rows_ != rows_ || rhs.cols_ != cols_)
-    throw std::invalid_argument("Matrix::operator+=: shape mismatch");
-  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += rhs.data_[i];
-  return *this;
-}
-
-Matrix& Matrix::operator-=(const Matrix& rhs) {
-  if (rhs.rows_ != rows_ || rhs.cols_ != cols_)
-    throw std::invalid_argument("Matrix::operator-=: shape mismatch");
-  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] -= rhs.data_[i];
-  return *this;
-}
-
-Matrix& Matrix::operator*=(double s) {
-  for (double& x : data_) x *= s;
-  return *this;
 }
 
 Vector Matrix::mul(const Vector& x) const {
@@ -146,37 +101,7 @@ Matrix Matrix::mul(const Matrix& rhs) const {
   return y;
 }
 
-double Matrix::norm_inf() const {
-  double acc = 0.0;
-  for (double x : data_) acc = std::max(acc, std::fabs(x));
-  return acc;
-}
-
-Matrix operator+(Matrix lhs, const Matrix& rhs) { return lhs += rhs; }
-Matrix operator-(Matrix lhs, const Matrix& rhs) { return lhs -= rhs; }
-Matrix operator*(double s, Matrix m) { return m *= s; }
 Vector operator*(const Matrix& m, const Vector& x) { return m.mul(x); }
 Matrix operator*(const Matrix& a, const Matrix& b) { return a.mul(b); }
-
-std::ostream& operator<<(std::ostream& os, const Vector& v) {
-  os << '[';
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    if (i) os << ", ";
-    os << v[i];
-  }
-  return os << ']';
-}
-
-std::ostream& operator<<(std::ostream& os, const Matrix& m) {
-  for (std::size_t r = 0; r < m.rows(); ++r) {
-    os << (r == 0 ? '[' : ' ');
-    for (std::size_t c = 0; c < m.cols(); ++c) {
-      if (c) os << ", ";
-      os << m(r, c);
-    }
-    os << (r + 1 == m.rows() ? "]" : ";\n");
-  }
-  return os;
-}
 
 }  // namespace ssnkit::numeric

@@ -5,7 +5,6 @@
 
 #include <cstddef>
 #include <initializer_list>
-#include <iosfwd>
 #include <vector>
 
 namespace ssnkit::numeric {
@@ -25,7 +24,6 @@ class Vector {
 
   /// Bounds-checked access; throws std::out_of_range.
   double& at(std::size_t i);
-  double at(std::size_t i) const;
 
   double* data() { return data_.data(); }
   const double* data() const { return data_.data(); }
@@ -56,7 +54,6 @@ class Vector {
 Vector operator+(Vector lhs, const Vector& rhs);
 Vector operator-(Vector lhs, const Vector& rhs);
 Vector operator*(double s, Vector v);
-Vector operator*(Vector v, double s);
 
 /// Dense row-major matrix.
 class Matrix {
@@ -75,26 +72,12 @@ class Matrix {
   double& operator()(std::size_t r, std::size_t c) { return data_[r * cols_ + c]; }
   double operator()(std::size_t r, std::size_t c) const { return data_[r * cols_ + c]; }
 
-  /// Bounds-checked access; throws std::out_of_range.
-  double& at(std::size_t r, std::size_t c);
-  double at(std::size_t r, std::size_t c) const;
-
-  void resize(std::size_t rows, std::size_t cols, double fill = 0.0);
-  void fill(double value);
-
   Matrix transposed() const;
-
-  Matrix& operator+=(const Matrix& rhs);
-  Matrix& operator-=(const Matrix& rhs);
-  Matrix& operator*=(double s);
 
   /// Matrix-vector product; x.size() must equal cols().
   Vector mul(const Vector& x) const;
   /// Matrix-matrix product; rhs.rows() must equal cols().
   Matrix mul(const Matrix& rhs) const;
-
-  /// Largest absolute entry.
-  double norm_inf() const;
 
  private:
   std::size_t rows_ = 0;
@@ -102,13 +85,7 @@ class Matrix {
   std::vector<double> data_;
 };
 
-Matrix operator+(Matrix lhs, const Matrix& rhs);
-Matrix operator-(Matrix lhs, const Matrix& rhs);
-Matrix operator*(double s, Matrix m);
 Vector operator*(const Matrix& m, const Vector& x);
 Matrix operator*(const Matrix& a, const Matrix& b);
-
-std::ostream& operator<<(std::ostream& os, const Vector& v);
-std::ostream& operator<<(std::ostream& os, const Matrix& m);
 
 }  // namespace ssnkit::numeric

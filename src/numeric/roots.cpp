@@ -7,6 +7,9 @@ namespace ssnkit::numeric {
 
 namespace {
 
+constexpr double kFTol = 1e-14;  // absolute tolerance on |f(x)|
+constexpr int kMaxIterations = 200;
+
 void require_bracket(double flo, double fhi) {
   if (std::isnan(flo) || std::isnan(fhi))
     throw std::invalid_argument("root finding: f is NaN at a bracket endpoint");
@@ -30,8 +33,8 @@ double brent(const std::function<double(double)>& f, double lo, double hi,
   double c = a, fc = fa;
   bool mflag = true;
   double d = 0.0;
-  for (int i = 0; i < opts.max_iterations; ++i) {
-    if (std::fabs(fb) <= opts.f_tol || std::fabs(b - a) <= opts.x_tol) return b;
+  for (int i = 0; i < kMaxIterations; ++i) {
+    if (std::fabs(fb) <= kFTol || std::fabs(b - a) <= opts.x_tol) return b;
     double s;
     if (fa != fc && fb != fc) {
       // Inverse quadratic interpolation.

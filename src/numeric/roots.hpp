@@ -9,9 +9,7 @@ namespace ssnkit::numeric {
 
 /// Options for brent().
 struct RootOptions {
-  double x_tol = 1e-12;      ///< absolute tolerance on the root
-  double f_tol = 1e-14;      ///< absolute tolerance on |f(x)|
-  int max_iterations = 200;
+  double x_tol = 1e-12;  ///< absolute tolerance on the root
 };
 
 /// Brent's method on a bracketing interval [lo, hi]: inverse quadratic

@@ -12,6 +12,11 @@ namespace ssnkit::serve {
 
 namespace {
 
+// SSN-E064 retry hint: jittered per id into [0.5, 1.5) of this base.
+constexpr double kRetryAfterMs = 50.0;
+// Mixed into the per-id retry jitter (jittered_retry_after_ms).
+constexpr unsigned kRetryJitterSeed = 1;
+
 /// Field-level validation helper: accumulates the first error and stops
 /// looking at further fields (one precise message beats a wall of them on a
 /// one-line protocol).
@@ -279,16 +284,16 @@ std::string render_overloaded(const std::string& id, double retry_after_ms) {
          json_number(retry_after_ms) + "}";
 }
 
-double jittered_retry_after_ms(double base_ms, const std::string& id,
-                               unsigned seed) {
+double jittered_retry_after_ms(const std::string& id) {
   // FNV-1a over the id, mixed with the seed, mapped onto [0.5, 1.5). 2^20
   // buckets keep the quotient exact in double, so the hint is reproducible
   // across platforms.
-  std::uint64_t h = support::fnv1a(id) ^ (std::uint64_t(seed) * 0x9e3779b97f4a7c15ULL);
+  std::uint64_t h =
+      support::fnv1a(id) ^ (std::uint64_t(kRetryJitterSeed) * 0x9e3779b97f4a7c15ULL);
   h ^= h >> 33;
   const double unit = double(h & ((std::uint64_t(1) << 20) - 1)) /
                       double(std::uint64_t(1) << 20);
-  return base_ms * (0.5 + unit);
+  return kRetryAfterMs * (0.5 + unit);
 }
 
 std::string render_solver_error(const std::string& id,

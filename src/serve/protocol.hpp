@@ -123,14 +123,13 @@ std::string render_error(const std::string& id, const std::string& code,
 /// SSN-E064 overload response with the retry hint clients should honor.
 std::string render_overloaded(const std::string& id, double retry_after_ms);
 
-/// Deterministic per-request jitter for the SSN-E064 retry hint: maps
-/// (id, seed) onto a factor in [0.5, 1.5) of `base_ms`, so a synchronized
-/// burst of shed clients fans back in over a full base period instead of
+/// Deterministic per-request jitter for the SSN-E064 retry hint: maps the
+/// id onto a factor in [0.5, 1.5) of a 50 ms base, so a synchronized burst
+/// of shed clients fans back in over a full base period instead of
 /// thundering-herding the admission queue at one instant. Pure function of
-/// its inputs (FNV-1a of the id mixed with the seed) — the same client
+/// the id (FNV-1a of the id mixed with a fixed seed) — the same client
 /// retrying the same id sees a stable hint.
-double jittered_retry_after_ms(double base_ms, const std::string& id,
-                               unsigned seed);
+double jittered_retry_after_ms(const std::string& id);
 
 /// SSN-E065/E066 for a typed solver failure: attaches kind and
 /// retryability; stop kinds (cancelled / deadline) render as SSN-E066.

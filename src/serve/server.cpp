@@ -12,6 +12,9 @@ namespace ssnkit::serve {
 
 namespace {
 
+// Spill the cache file every this many successful results (and on drain).
+constexpr std::size_t kCacheSpillEvery = 256;
+
 /// The supervisor's worker count follows the pool width unless pinned:
 /// every pool thread must be able to hold a worker, or concurrency silently
 /// collapses to the smaller of the two.
@@ -80,10 +83,8 @@ void Server::submit_line(const std::string& line, ResponseSink sink) {
       return;
     }
   }
-  sink(render_overloaded(
-      parsed.request.id,
-      jittered_retry_after_ms(config_.retry_after_ms, parsed.request.id,
-                              config_.retry_jitter_seed)));
+  sink(render_overloaded(parsed.request.id,
+                         jittered_retry_after_ms(parsed.request.id)));
 }
 
 void Server::begin_drain() {
@@ -282,7 +283,7 @@ void Server::maybe_spill() {
   if (config_.cache_file.empty()) return;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (++results_since_spill_ < config_.cache_spill_every) return;
+    if (++results_since_spill_ < kCacheSpillEvery) return;
     results_since_spill_ = 0;
   }
   try {
@@ -301,10 +302,7 @@ void Server::finish() {
     std::unique_lock<std::mutex> lock(mu_);
     stop_dispatcher_ = true;
     cv_work_.notify_all();
-    const auto deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::nanoseconds(
-            std::int64_t(config_.drain_deadline_s * 1e9));
+    const auto deadline = support::deadline_after(config_.drain_deadline_s);
     if (!cv_done_.wait_until(lock, deadline,
                              [&] { return dispatcher_done_; })) {
       // Drain deadline passed: cancel in-flight requests cooperatively

@@ -52,7 +52,7 @@ namespace ssnkit::serve {
 /// SIGKILL watchdog, so crashes and hangs degrade exactly one request.
 enum class IsolateMode { kThread, kProcess };
 
-// ssn-units: default_deadline_s=s, drain_deadline_s=s, retry_after_ms=ms
+// ssn-units: default_deadline_s=s, drain_deadline_s=s
 struct ServerConfig {
   /// Worker threads (support::resolve_threads semantics: 0 = auto).
   int threads = 0;
@@ -60,20 +60,13 @@ struct ServerConfig {
   std::size_t queue_capacity = 64;
   /// Result-cache entries; 0 disables caching.
   std::size_t cache_capacity = 4096;
-  /// Crash-safe spill file for the cache; "" = in-memory only.
+  /// Crash-safe spill file for the cache; "" = in-memory only. Spilled
+  /// every 256 successful results and on drain.
   std::string cache_file;
-  /// Spill the cache every this many successful results (and on drain).
-  std::size_t cache_spill_every = 256;
   /// Per-request wall-clock budget when the request names none; 0 = none.
   double default_deadline_s = 0.0;
   /// How long a drain waits for in-flight work before cancelling it.
   double drain_deadline_s = 5.0;
-  /// Retry hint attached to SSN-E064 shed responses. Each response jitters
-  /// it deterministically into [0.5, 1.5) of this base so synchronized
-  /// clients don't thundering-herd the queue on retry.
-  double retry_after_ms = 50.0;
-  /// Mixed into the per-id retry jitter (jittered_retry_after_ms).
-  unsigned retry_jitter_seed = 1;
   /// Execution isolation mode; kProcess enables the Supervisor.
   IsolateMode isolate = IsolateMode::kThread;
   /// Supervisor tuning for kProcess mode. `workers` left at 0 inherits the

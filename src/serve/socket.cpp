@@ -32,6 +32,9 @@ int serve_unix_socket(Server& /*server*/, const SocketOptions& /*options*/,
 
 namespace {
 
+// Post-drain budget for flushing the remaining responses to clients.
+constexpr double kFlushGraceS = 2.0;
+
 /// One client connection. The poll loop owns fd/inbuf/eof; `out` is the
 /// worker-facing side (responses append under `mu`, the loop flushes under
 /// `mu`). Held by shared_ptr: response sinks for in-flight requests keep
@@ -145,9 +148,7 @@ int serve_unix_socket(Server& server, const SocketOptions& options,
     }
     if (drain_started && drain_done.load(std::memory_order_acquire)) {
       if (flush_deadline == std::chrono::steady_clock::time_point{})
-        flush_deadline = std::chrono::steady_clock::now() +
-                         std::chrono::nanoseconds(std::int64_t(
-                             options.flush_grace_s * 1e9));
+        flush_deadline = support::deadline_after(kFlushGraceS);
       bool all_flushed = true;
       for (const auto& conn : conns) {
         std::lock_guard<std::mutex> lock(conn->mu);

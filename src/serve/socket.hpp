@@ -29,13 +29,11 @@
 
 namespace ssnkit::serve {
 
-// ssn-units: flush_grace_s=s
 struct SocketOptions {
   std::string path;                         ///< filesystem socket path
   std::size_t max_line_bytes = 1 << 20;     ///< input cap per request line
   std::size_t max_buffered_bytes = 4 << 20; ///< output cap per connection
   int poll_interval_ms = 100;               ///< stop_ctx poll granularity
-  double flush_grace_s = 2.0;               ///< post-drain flush budget
 };
 
 /// Run the accept/read/write loop until `stop_ctx` trips (or `server`

@@ -4,6 +4,7 @@
 #include "support/crashclean.hpp"
 #include "support/journal.hpp"
 #include "support/parallel.hpp"
+#include "support/runcontext.hpp"
 #include "support/subprocess.hpp"
 
 #include <fstream>
@@ -16,6 +17,10 @@ namespace ssnkit::serve {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+// Respawn backoff: kBackoffBaseMs * 2^(consecutive-1), capped at kBackoffMaxMs.
+constexpr double kBackoffBaseMs = 25.0;
+constexpr double kBackoffMaxMs = 2000.0;
 
 Clock::duration ms_duration(double ms) {
   return std::chrono::duration_cast<Clock::duration>(
@@ -72,13 +77,12 @@ Supervisor::Supervisor(const SupervisorConfig& config, EventSink events)
 
 Supervisor::~Supervisor() { shutdown(); }
 
-double Supervisor::restart_backoff_ms(int consecutive_crashes, double base_ms,
-                                      double max_ms) {
+double Supervisor::restart_backoff_ms(int consecutive_crashes) {
   if (consecutive_crashes < 1) consecutive_crashes = 1;
-  double backoff = base_ms;
-  for (int i = 1; i < consecutive_crashes && backoff < max_ms; ++i)
+  double backoff = kBackoffBaseMs;
+  for (int i = 1; i < consecutive_crashes && backoff < kBackoffMaxMs; ++i)
     backoff *= 2.0;
-  return backoff < max_ms ? backoff : max_ms;
+  return backoff < kBackoffMaxMs ? backoff : kBackoffMaxMs;
 }
 
 void Supervisor::emit(const std::string& line) {
@@ -107,9 +111,8 @@ bool Supervisor::spawn_slot_locked(std::size_t index) {
   if (!ok) {
     slot.state = SlotState::kDead;
     slot.consecutive_crashes += 1;
-    slot.respawn_at = Clock::now() + ms_duration(restart_backoff_ms(
-                          slot.consecutive_crashes, config_.backoff_base_ms,
-                          config_.backoff_max_ms));
+    slot.respawn_at =
+        Clock::now() + ms_duration(restart_backoff_ms(slot.consecutive_crashes));
     emit("{\"event\":\"warning\",\"code\":\"SSN-W075\",\"message\":\"worker "
          "spawn failed (slot " + std::to_string(index) + "): " +
          json_escape(err) + "\"}");
@@ -141,8 +144,7 @@ double Supervisor::mark_dead_locked(Slot& slot) {
   slot.kill_sent = false;
   slot.inbuf.clear();
   slot.consecutive_crashes += 1;
-  const double backoff = restart_backoff_ms(
-      slot.consecutive_crashes, config_.backoff_base_ms, config_.backoff_max_ms);
+  const double backoff = restart_backoff_ms(slot.consecutive_crashes);
   slot.respawn_at = Clock::now() + ms_duration(backoff);
   return backoff;
 }
@@ -212,10 +214,7 @@ WorkerOutcome Supervisor::execute(const ServeRequest& request,
       slot.kill_sent = false;
       slot.has_kill_at = deadline_s > 0.0;
       if (slot.has_kill_at)
-        slot.kill_at = Clock::now() +
-                       std::chrono::duration_cast<Clock::duration>(
-                           std::chrono::duration<double>(deadline_s +
-                                                         config_.grace_s));
+        slot.kill_at = support::deadline_after(deadline_s + config_.grace_s);
       slot.inbuf.clear();
       pid = slot.pid;
       fd = slot.fd;

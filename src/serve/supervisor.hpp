@@ -47,7 +47,7 @@
 
 namespace ssnkit::serve {
 
-// ssn-units: grace_s=s, cpu_limit_s=s, backoff_base_ms=ms, backoff_max_ms=ms
+// ssn-units: grace_s=s, cpu_limit_s=s
 struct SupervisorConfig {
   /// Worker processes (support::resolve_threads semantics: 0 = auto).
   int workers = 0;
@@ -63,9 +63,6 @@ struct SupervisorConfig {
   /// Where quarantined request lines are journaled; "" = no journal. Each
   /// line is a complete request, so the file replays directly.
   std::string quarantine_file;
-  /// Respawn backoff: base * 2^(consecutive-1), capped at max.
-  double backoff_base_ms = 25.0;
-  double backoff_max_ms = 2000.0;
 };
 
 /// Worker-death bookkeeping per cache key, plus the quarantine decision.
@@ -158,9 +155,8 @@ class Supervisor {
   Counters counters() const;
 
   /// The respawn backoff schedule, exposed so tests can pin it down:
-  /// min(base * 2^(consecutive_crashes-1), max); consecutive_crashes >= 1.
-  static double restart_backoff_ms(int consecutive_crashes, double base_ms,
-                                   double max_ms);
+  /// min(25 ms * 2^(consecutive_crashes-1), 2 s); consecutive_crashes >= 1.
+  static double restart_backoff_ms(int consecutive_crashes);
 
  private:
   enum class SlotState { kIdle, kBusy, kDead };

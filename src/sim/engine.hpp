@@ -32,9 +32,6 @@ namespace ssnkit::sim {
 
 struct NewtonOptions {
   int max_iterations = 100;
-  double reltol = 1e-6;
-  double abstol_v = 1e-9;   ///< volts
-  double abstol_i = 1e-12;  ///< amperes (branch unknowns)
   double max_voltage_step = 2.0;  ///< per-iteration damping limit [V]
 };
 
@@ -43,20 +40,12 @@ struct NewtonOptions {
 /// linear system is checked once per *accepted* step — one extra CSR sweep
 /// reusing the already-stamped matrix, no allocation — and the Hager
 /// 1-norm condition estimate runs once per run, so the hot-path overhead
-/// stays within the bench_perf 5 % budget.
+/// stays within the bench_perf 5 % budget. A residual that stays high after
+/// one refinement step fails the run with a typed
+/// SolverErrorKind::kResidualDegraded (SSN-W071); a high condition estimate
+/// downgrades trust without failing it.
 struct VerifyOptions {
   bool enabled = true;
-  /// Scaled residual above this triggers one step of iterative refinement
-  /// (a backward-stable solve of a sane system sits near 1e-14).
-  double residual_tol = 1e-9;
-  /// Post-refinement residual above this fails the run with a typed
-  /// SolverErrorKind::kResidualDegraded (SSN-W071) instead of returning
-  /// the vector as-is; the recovery ladder's retry re-factorizes.
-  double degrade_tol = 1e-7;
-  /// Condition estimate above this downgrades trust to degraded
-  /// (forward error ~ cond * eps can no longer support the paper's 3 %
-  /// accuracy claim) without failing the run.
-  double cond_limit = 1e14;
 };
 
 struct DcResult {
@@ -84,11 +73,9 @@ struct TransientOptions {
   double t_stop = 1e-9;
   circuit::Integrator method = circuit::Integrator::kTrapezoidal;
   double dt_initial = 0.0;  ///< 0 = auto (span/1000)
-  double dt_min = 0.0;      ///< 0 = auto (span*1e-12)
-  double dt_max = 0.0;      ///< 0 = auto (span/50)
+  double dt_max = 0.0;      ///< 0 = auto (span/50); the minimum is span*1e-12
   bool adaptive = true;     ///< LTE step control
-  double lte_reltol = 1e-4;
-  double lte_abstol_v = 1e-6;  ///< LTE runs on node voltages only
+  double lte_reltol = 1e-4;  ///< LTE runs on node voltages only
   /// Hard cap on accepted steps: converts pathological step-size grinding
   /// into an error instead of an unbounded run.
   std::size_t max_steps = 5'000'000;

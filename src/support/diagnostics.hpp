@@ -32,7 +32,7 @@ enum class SolverErrorKind {
   kNewtonDivergence,     ///< Newton iteration did not converge (transient)
   kSingularMatrix,       ///< LU/QR factorization found a singular system
   kNonFiniteValue,       ///< NaN/Inf residual or solution detected
-  kStepUnderflow,        ///< adaptive timestep fell below dt_min
+  kStepUnderflow,        ///< adaptive timestep fell below the minimum step
   kStepBudgetExhausted,  ///< max_steps hit (pathological grinding)
   kHomotopyExhausted,    ///< every DC homotopy (plain/gmin/source) failed
   kCancelled,            ///< the job's RunContext was cancelled mid-solve

@@ -9,7 +9,7 @@
 //   kNewtonDivergence  force solve_newton to report non-convergence
 //   kSingularLu        force the (dense or sparse) LU to report singularity
 //   kNanResidual       poison one entry of the Newton update with NaN
-//   kStepUnderflow     force the adaptive timestep below dt_min
+//   kStepUnderflow     force the adaptive timestep below the minimum step
 //
 // plus three *result-corruption* classes the verify layer must catch (they
 // damage data rather than forcing an error path, which is exactly the

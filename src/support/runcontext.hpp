@@ -54,6 +54,20 @@ inline const char* to_string(StopReason reason) {
   return "unknown";
 }
 
+/// The steady_clock time point `seconds` from now, saturating: a deadline
+/// beyond the clock's range (including +inf) is time_point::max(), which
+/// every caller treats as no deadline; a duration <= 0 (or NaN) is now.
+inline std::chrono::steady_clock::time_point deadline_after(double seconds) {
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point now = Clock::now();
+  const double ns = seconds * 1e9;
+  if (!(ns > 0.0)) return now;
+  const std::chrono::nanoseconds headroom = Clock::time_point::max() - now;
+  if (!(ns < 0x1p63) || std::int64_t(ns) >= headroom.count())
+    return Clock::time_point::max();
+  return now + std::chrono::nanoseconds(std::int64_t(ns));
+}
+
 class RunContext {
  public:
   RunContext() = default;
@@ -77,12 +91,9 @@ class RunContext {
             .count(),
         std::memory_order_release);
   }
-  /// Deadline `seconds` from now; <= 0 is already expired.
-  void set_timeout(double seconds) {
-    set_deadline(std::chrono::steady_clock::now() +
-                 std::chrono::nanoseconds(static_cast<std::int64_t>(
-                     seconds * 1e9)));
-  }
+  /// Deadline `seconds` from now; <= 0 is already expired, and one beyond
+  /// steady_clock's range is no deadline (see deadline_after).
+  void set_timeout(double seconds) { set_deadline(deadline_after(seconds)); }
   bool has_deadline() const {
     return deadline_ns_.load(std::memory_order_acquire) != kNoDeadline;
   }

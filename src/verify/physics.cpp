@@ -10,6 +10,19 @@ namespace ssnkit::verify {
 
 namespace {
 
+// Allowed energy deficit relative to the peak stored energy. Covers
+// trapezoid discretization error on LTE-controlled grids with margin.
+constexpr double kEnergyRelTol = 0.05;
+// Allowed |v_max - waveform maximum| relative to the waveform scale.
+constexpr double kVmaxRelTol = 1e-6;
+// Allowed |t_at_max - predicted extremum| relative to the ramp length.
+// Generous: the simulator's alpha-power devices are not the closed form's
+// ASDM, so peaks shift — the check catches grossly inconsistent timing (a
+// corrupted scalar), not modeling differences.
+constexpr double kPeakTimeRelTol = 0.25;
+// The paper's closed-form accuracy claim.
+constexpr double kClosedFormBar = 0.03;
+
 std::string format_note(const char* code, const char* fmt, double a,
                         double b) {
   char buf[160];
@@ -22,8 +35,7 @@ std::string format_note(const char* code, const char* fmt, double a,
 PhysicsFindings check_ground_path(const core::SsnScenario& scenario,
                                   const waveform::Waveform& vssi,
                                   const waveform::Waveform& i_l,
-                                  double v_max, double t_at_max,
-                                  const PhysicsCheckOptions& opts) {
+                                  double v_max, double t_at_max) {
   PhysicsFindings out;
   const std::size_t n = std::min(vssi.size(), i_l.size());
   if (n < 3 || !std::isfinite(v_max) || !std::isfinite(t_at_max)) {
@@ -58,7 +70,7 @@ PhysicsFindings check_ground_path(const core::SsnScenario& scenario,
   if (e_scale > 0.0) {
     out.worst_deficit = worst_deficit / e_scale;
     if (!std::isfinite(out.worst_deficit) ||
-        out.worst_deficit > opts.energy_rel_tol) {
+        out.worst_deficit > kEnergyRelTol) {
       out.passivity_ok = false;
       out.notes.push_back(format_note(
           "SSN-W073",
@@ -78,7 +90,7 @@ PhysicsFindings check_ground_path(const core::SsnScenario& scenario,
       vssi.maximum_in(scenario.t_on(), vssi.t_end());
   const double v_scale =
       std::max({std::fabs(peak.value), std::fabs(v_max), scenario.vdd});
-  if (std::fabs(peak.value - v_max) > opts.vmax_rel_tol * v_scale) {
+  if (std::fabs(peak.value - v_max) > kVmaxRelTol * v_scale) {
     out.extremum_ok = false;
     out.notes.push_back(format_note(
         "SSN-W073",
@@ -107,7 +119,7 @@ PhysicsFindings check_ground_path(const core::SsnScenario& scenario,
         break;
     }
     const double window =
-        opts.peak_time_rel_tol *
+        kPeakTimeRelTol *
         std::max(scenario.t_ramp_end() - scenario.t_on(), 1e-30);
     if (t_at_max <= vssi.t_end() - window) {  // extremum inside the record
       out.timing_checked = true;
@@ -128,7 +140,7 @@ PhysicsFindings check_ground_path(const core::SsnScenario& scenario,
 }
 
 bool cross_check_closed_form(double v_closed_form, double v_simulated,
-                             TrustReport& trust, double bar) {
+                             TrustReport& trust) {
   if (!std::isfinite(v_closed_form) || !std::isfinite(v_simulated) ||
       std::fabs(v_closed_form) <= 0.0) {
     trust.downgrade(Verdict::kDegraded);
@@ -140,12 +152,12 @@ bool cross_check_closed_form(double v_closed_form, double v_simulated,
   }
   const double rel =
       std::fabs(v_simulated - v_closed_form) / std::fabs(v_closed_form);
-  if (rel > bar) {
+  if (rel > kClosedFormBar) {
     trust.downgrade(Verdict::kDegraded);
     trust.note(format_note(
         "SSN-W074",
         "closed form and simulator disagree by %.1f%% (bar %.1f%%)",
-        100.0 * rel, 100.0 * bar));
+        100.0 * rel, 100.0 * kClosedFormBar));
     return false;
   }
   return true;

@@ -31,19 +31,6 @@
 
 namespace ssnkit::verify {
 
-struct PhysicsCheckOptions {
-  /// Allowed energy deficit relative to the peak stored energy. Covers
-  /// trapezoid discretization error on LTE-controlled grids with margin.
-  double energy_rel_tol = 0.05;
-  /// Allowed |v_max - waveform maximum| relative to the waveform scale.
-  double vmax_rel_tol = 1e-6;
-  /// Allowed |t_at_max - predicted extremum| relative to the ramp length.
-  /// Generous: the simulator's alpha-power devices are not the closed
-  /// form's ASDM, so peaks shift — the check catches grossly inconsistent
-  /// timing (a corrupted scalar), not modeling differences.
-  double peak_time_rel_tol = 0.25;
-};
-
 /// What the invariant sweep found. `notes` carries ready-to-attach
 /// SSN-W073 strings; apply() folds everything into a TrustReport.
 struct PhysicsFindings {
@@ -63,14 +50,13 @@ struct PhysicsFindings {
 PhysicsFindings check_ground_path(const core::SsnScenario& scenario,
                                   const waveform::Waveform& vssi,
                                   const waveform::Waveform& i_l,
-                                  double v_max, double t_at_max,
-                                  const PhysicsCheckOptions& opts = {});
+                                  double v_max, double t_at_max);
 
 /// Invariant 3: closed-form vs simulator agreement. Appends an SSN-W074
-/// note and downgrades `trust` when the relative gap exceeds `bar`
-/// (the paper's 3 % by default). Returns true when within the bar.
+/// note and downgrades `trust` when the relative gap exceeds the paper's
+/// 3 % bar. Returns true when within the bar.
 bool cross_check_closed_form(double v_closed_form, double v_simulated,
-                             TrustReport& trust, double bar = 0.03);
+                             TrustReport& trust);
 
 /// Fold findings into a trust report: ok -> no change; a violated
 /// invariant downgrades to degraded and attaches the SSN-W073 notes.

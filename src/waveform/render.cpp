@@ -2,7 +2,6 @@
 
 #include "support/atomic_file.hpp"
 
-#include <algorithm>
 #include <ostream>
 #include <stdexcept>
 #include <utility>
@@ -11,16 +10,16 @@ namespace ssnkit::waveform {
 
 namespace {
 
-/// Resample each waveform densely over its own span so chart lines look
-/// continuous at any terminal width.
+/// Resample each waveform densely over its own span (two samples per chart
+/// column) so chart lines look continuous.
 std::vector<std::vector<std::pair<double, double>>> dense_points(
-    const std::vector<const Waveform*>& series, int width) {
+    const std::vector<const Waveform*>& series) {
   std::vector<std::vector<std::pair<double, double>>> pts;
   for (const auto* wv : series) {
     if (wv == nullptr || wv->empty())
       throw std::invalid_argument("ascii_chart: null/empty waveform");
     std::vector<std::pair<double, double>> p;
-    const int n = std::max(width, 16) * 2;
+    const int n = io::kChartWidth * 2;
     for (int i = 0; i < n; ++i) {
       const double t = wv->t_begin() +
                        (wv->t_end() - wv->t_begin()) * double(i) / double(n - 1);
@@ -37,7 +36,7 @@ std::string ascii_chart(const std::vector<const Waveform*>& series,
                         const std::vector<std::string>& names,
                         const io::ChartOptions& opts) {
   if (series.empty()) throw std::invalid_argument("ascii_chart: no series");
-  return io::ascii_series_chart(dense_points(series, opts.width), names, opts);
+  return io::ascii_series_chart(dense_points(series), names, opts);
 }
 
 std::string ascii_chart(const Waveform& wave, const io::ChartOptions& opts) {

@@ -109,7 +109,6 @@ TEST(FitAsdm, RegionValidation) {
   AsdmFitRegion few = region_for(tech.vdd);
   few.n_vg = 1;
   EXPECT_THROW(fit_asdm(*golden, few), std::invalid_argument);
-  EXPECT_THROW(fit_asdm(*golden, region_for(tech.vdd), 1.5), std::invalid_argument);
 }
 
 TEST(FitAsdm, NonConductingRegionThrows) {

@@ -23,6 +23,7 @@
 #include <csignal>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <random>
 #include <sstream>
 #include <string>
@@ -65,6 +66,21 @@ TEST(Lifecycle, DeadlineExpiryIsObservedByPolls) {
   ctx.set_timeout(0.0);
   EXPECT_EQ(ctx.stop_requested(), StopReason::kDeadlineExpired);
   EXPECT_EQ(ctx.stop_reason(), StopReason::kDeadlineExpired);
+}
+
+TEST(Lifecycle, TimeoutBeyondTheClockRangeIsNoDeadline) {
+  // 1e10 s is 1e19 ns, past steady_clock's int64 nanosecond range. Such a
+  // deadline is no deadline, never one that overflowed into the past.
+  RunContext ctx;
+  ctx.set_timeout(1e10);
+  EXPECT_FALSE(ctx.has_deadline());
+  EXPECT_EQ(ctx.stop_requested(), StopReason::kNone);
+  ctx.set_timeout(std::numeric_limits<double>::infinity());
+  EXPECT_FALSE(ctx.has_deadline());
+  EXPECT_EQ(ctx.stop_requested(), StopReason::kNone);
+  ctx.set_timeout(1e9);  // about 32 years: in range, a real deadline
+  EXPECT_TRUE(ctx.has_deadline());
+  EXPECT_EQ(ctx.stop_requested(), StopReason::kNone);
 }
 
 TEST(Lifecycle, ItemBudgetStopsNewItemsButNotThePoll) {
@@ -720,6 +736,14 @@ TEST(Resume, CliExpiredDeadlineExitsInterrupted) {
       {"mc", "--sim", "--samples", "2", "--deadline", "0"}, os, es);
   EXPECT_EQ(rc, cli::kExitInterrupted);
   EXPECT_NE(os.str().find("deadline-expired"), std::string::npos);
+}
+
+TEST(Resume, CliDeadlineBeyondTheClockRangeRunsToCompletion) {
+  std::ostringstream os, es;
+  const int rc = cli::run_cli(
+      {"mc", "--samples", "200", "--deadline", "1e10"}, os, es);
+  EXPECT_EQ(rc, 0) << es.str();
+  EXPECT_EQ(os.str().find("interrupted"), std::string::npos) << os.str();
 }
 
 TEST(Resume, CliRejectsResumeForDifferentJob) {

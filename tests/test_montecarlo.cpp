@@ -175,10 +175,6 @@ TEST(SimMonteCarlo, OptionValidation) {
   opts.samples = 0;
   EXPECT_THROW(monte_carlo_vmax_sim(cal(), pkg, 2, 0.1e-9, true, opts),
                std::invalid_argument);
-  opts = {};
-  opts.sigma_l = 0.9;
-  EXPECT_THROW(monte_carlo_vmax_sim(cal(), pkg, 2, 0.1e-9, true, opts),
-               std::invalid_argument);
 }
 
 }  // namespace

@@ -535,6 +535,57 @@ TEST(ServeServer, CacheSpillWarmsARestartedServer) {
   std::remove(path.c_str());
 }
 
+TEST(ServeServer, CacheSpillsEvery256Results) {
+  // The periodic spill, apart from the drain-time save above: the 256th
+  // successful result writes the spill file before finish() runs.
+  const std::string path = temp_path("serve_server_periodic_spill");
+  std::remove(path.c_str());
+  serve::ServerConfig config = quick_config();
+  config.queue_capacity = 256;
+  config.cache_capacity = 4096;
+  config.cache_file = path;
+  serve::Server server(config);
+  ResponseCollector rc;
+  for (int i = 0; i < 256; ++i) {
+    char line[128];
+    std::snprintf(line, sizeof line,
+                  R"({"id":"s%d","cmd":"estimate","n":4,"tr":%.6e})", i,
+                  1e-10 * (1.0 + 1e-3 * i));
+    server.submit_line(line, rc.sink());
+  }
+  const auto lines = rc.await(256);
+  ASSERT_EQ(lines.size(), 256u);
+  for (const auto& line : lines)
+    ASSERT_NE(line.find("\"ok\":true"), std::string::npos) << line;
+  ASSERT_TRUE(std::ifstream(path).good()) << "no spill before finish()";
+  serve::ResultCache spilled(4096);
+  EXPECT_TRUE(spilled.load(path).empty());
+  EXPECT_EQ(spilled.size(), 256u);
+  server.finish();
+  std::remove(path.c_str());
+}
+
+TEST(ServeServer, DrainDeadlineBeyondTheClockRangeWaitsForInFlightWork) {
+  // --drain 1e10 is past steady_clock's range: no drain deadline. It must
+  // not overflow into one in the past, which cancels the request (E066).
+  serve::ServerConfig config = quick_config();
+  config.threads = 1;
+  config.cache_capacity = 0;
+  config.drain_deadline_s = 1e10;
+  ResponseCollector rc;
+  {
+    serve::Server server(config);
+    server.submit_line(
+        R"({"id":"slow","cmd":"sweep-n","max_n":16,"tr":1e-6,"golden":"bsim","c":1e-9})",
+        rc.sink());
+    server.finish();
+  }
+  const auto lines = rc.await(1);
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_NE(lines[0].find("\"id\":\"slow\",\"ok\":true"), std::string::npos)
+      << lines[0];
+}
+
 TEST(ServeServer, SpillFromThePerDriverLayoutNeverHits) {
   // A spill written before drivers were folded holds per-driver simulated
   // results under "serve-v1|" keys, one written before the MOSFETs stamped
