@@ -65,6 +65,16 @@ void warn_unused(const Args& args, std::ostream& os) {
 
 // --- job lifecycle wiring ---------------------------------------------------
 
+/// A duration flag in seconds, `fallback` when absent. A negative (or NaN)
+/// value is an error, like --n 0, never a silent "none".
+double duration_flag(const Args& args, const std::string& key,
+                     double fallback) {
+  const double seconds = args.get_double(key, fallback);
+  if (!(seconds >= 0.0))
+    throw std::invalid_argument("--" + key + " must be >= 0 (seconds)");
+  return seconds;
+}
+
 /// One RunContext configured from the lifecycle flags, with the
 /// SIGINT/SIGTERM watcher installed for its lifetime. Every batch command
 /// constructs one: even without flags, the watcher is what turns Ctrl-C
@@ -74,12 +84,10 @@ struct Lifecycle {
   support::ScopedSignalCancel watcher{ctx};
 
   explicit Lifecycle(const Args& args) {
-    double seconds = -1.0;
     if (args.has("deadline"))
-      seconds = args.get_double("deadline", -1.0);
+      ctx.set_timeout(duration_flag(args, "deadline", 0.0));
     else if (args.has("max-wall"))
-      seconds = args.get_double("max-wall", -1.0);
-    if (seconds >= 0.0) ctx.set_timeout(seconds);
+      ctx.set_timeout(duration_flag(args, "max-wall", 0.0));
     ctx.set_item_budget(args.get_int("max-samples", -1));
   }
 };
@@ -293,7 +301,8 @@ serve options:
   --cache N                    result-cache entries, 0 disables (default 4096)
   --cache-file FILE            crash-safe cache spill; a restarted daemon
                                warms from it
-  --request-deadline S         default per-request budget (0 = none)
+  --request-deadline S         default per-request budget, at most 3600
+                               (0 = none)
   --drain S                    drain budget on SIGTERM before in-flight
                                requests are cancelled with SSN-E066
                                (default 5); clean drain exits 0
@@ -747,8 +756,12 @@ int cmd_serve(const Args& args, std::ostream& os) {
   if (cache < 0) throw std::invalid_argument("--cache must be >= 0");
   config.cache_capacity = std::size_t(cache);
   config.cache_file = args.get_or("cache-file", "");
-  config.default_deadline_s = args.get_double("request-deadline", 0.0);
-  config.drain_deadline_s = args.get_double("drain", 5.0);
+  config.default_deadline_s = duration_flag(args, "request-deadline", 0.0);
+  // The default deadline travels on the worker wire, which bounds it.
+  if (config.default_deadline_s > serve::kMaxDeadlineS)
+    throw std::invalid_argument("--request-deadline must be <= " +
+                                std::to_string(int(serve::kMaxDeadlineS)));
+  config.drain_deadline_s = duration_flag(args, "drain", 5.0);
   const std::string isolate = args.get_or("isolate", "thread");
   if (isolate == "process") {
     config.isolate = serve::IsolateMode::kProcess;
@@ -759,8 +772,8 @@ int cmd_serve(const Args& args, std::ostream& os) {
   const int worker_mem = args.get_int("worker-mem", 1024);
   if (worker_mem < 0) throw std::invalid_argument("--worker-mem must be >= 0");
   config.supervisor.mem_limit_mb = std::size_t(worker_mem);
-  config.supervisor.cpu_limit_s = args.get_double("worker-cpu", 0.0);
-  config.supervisor.grace_s = args.get_double("grace", 0.5);
+  config.supervisor.cpu_limit_s = duration_flag(args, "worker-cpu", 0.0);
+  config.supervisor.grace_s = duration_flag(args, "grace", 0.5);
   const int quarantine = args.get_int("quarantine", 2);
   if (quarantine < 1) throw std::invalid_argument("--quarantine must be >= 1");
   config.supervisor.quarantine_after = quarantine;

@@ -255,16 +255,11 @@ LcModel::ExtendedMax LcModel::v_max_extended(double horizon) const {
   // at most a countable set of peaks spaced by pi/omega_d (or one peak when
   // over-damped), so 4096 samples over the horizon resolve them all.
   constexpr std::size_t kSamples = 4096;
-  double prev_t = tr, prev_v = vn_extended(tr);
   for (std::size_t i = 1; i <= kSamples; ++i) {
     const double t = tr + (horizon - tr) * double(i) / double(kSamples);
     const double v = vn_extended(t);
     if (v > best.v) best = {v, t, true};
-    prev_t = t;
-    prev_v = v;
   }
-  (void)prev_t;
-  (void)prev_v;
   if (best.after_ramp) {
     // Refine with a few Newton steps on the derivative.
     double t = best.t;

@@ -10,6 +10,7 @@
 #include "verify/trust.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <string>
 
@@ -239,6 +240,32 @@ std::string execute_request(const ServeRequest& request,
     return handle_estimate(request, *cal, pkg, ctx);
   if (request.cmd == "mc") return handle_mc(request, *cal, pkg, ctx);
   return handle_sweep_n(request, *cal, pkg, ctx);
+}
+
+WorkerOutcome respond(const ServeRequest& request,
+                      CalibrationCache& calibrations,
+                      support::RunContext& ctx) {
+  const auto t0 = std::chrono::steady_clock::now();
+  if (request.deadline_s > 0.0) ctx.set_timeout(request.deadline_s);
+  WorkerOutcome out;
+  out.status = WorkerOutcome::Status::kError;
+  try {
+    out.fragment = execute_request(request, calibrations, &ctx);
+    const auto elapsed = std::chrono::duration_cast<std::chrono::microseconds>(
+        std::chrono::steady_clock::now() - t0);
+    out.response = render_ok(request.id, out.fragment, false, elapsed.count());
+    out.status = WorkerOutcome::Status::kOk;
+  } catch (const support::SolverError& e) {
+    out.response = render_solver_error(request.id, e);
+    out.cancelled = support::is_stop_kind(e.kind());
+  } catch (const NonFiniteJsonError& e) {
+    // A NaN/inf reached the serializer: the result is corrupt and is
+    // refused with its own typed code rather than rendered as null.
+    out.response = render_error(request.id, "SSN-E067", e.what());
+  } catch (const std::exception& e) {
+    out.response = render_error(request.id, "SSN-E065", e.what());
+  }
+  return out;
 }
 
 }  // namespace ssnkit::serve

@@ -131,7 +131,7 @@ RequestParse parse_request(const std::string& line) {
   v.int_field("samples", req.samples, 1, 200000);
   v.int_field("seed", req.seed, 0, 1 << 30);
   v.int_field("max_n", req.max_n, 1, 64);
-  v.double_field("deadline", req.deadline_s, 0.0, 3600.0);
+  v.double_field("deadline", req.deadline_s, 0.0, kMaxDeadlineS);
   v.reject_unknown();
 
   if (!v.failed()) {

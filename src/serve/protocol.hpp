@@ -65,6 +65,10 @@ struct ServeRequest {
   double deadline_s = 0.0;   ///< [s] per-request budget; 0 = server default
 };
 
+/// [s] The largest deadline the wire carries: parse_request bounds a
+/// request's "deadline" to [0, kMaxDeadlineS].
+inline constexpr double kMaxDeadlineS = 3600.0;
+
 /// Outcome of parsing + validating one request line.
 struct RequestParse {
   bool ok = false;

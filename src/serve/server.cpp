@@ -1,10 +1,12 @@
 #include "serve/server.hpp"
 
 #include "support/atomic_file.hpp"
+#include "support/parallel.hpp"
 
 #include <algorithm>
 #include <chrono>
 #include <istream>
+#include <optional>
 #include <ostream>
 #include <utility>
 
@@ -15,9 +17,25 @@ namespace {
 // Spill the cache file every this many successful results (and on drain).
 constexpr std::size_t kCacheSpillEvery = 256;
 
-/// The supervisor's worker count follows the pool width unless pinned:
-/// every pool thread must be able to hold a worker, or concurrency silently
-/// collapses to the smaller of the two.
+/// A cached result that may be replayed: only a verified/refined entry.
+/// Degraded or unverified entries — and entries with no parseable trust
+/// member at all (pre-trust-layer or damaged) — are recomputed, never
+/// served as-is.
+std::optional<std::string> replayable_hit(ResultCache& cache,
+                                          std::uint64_t key,
+                                          std::string& warning) {
+  std::optional<std::string> hit = cache.get(key, &warning);
+  verify::Verdict verdict = verify::Verdict::kUnverified;
+  if (hit && (!extract_trust_verdict(*hit, verdict) ||
+              verify::verdict_rank(verdict) >
+                  verify::verdict_rank(verify::Verdict::kRefined)))
+    hit.reset();
+  return hit;
+}
+
+/// The supervisor's worker count follows the server's thread count unless
+/// pinned: every server thread must be able to hold a worker, or
+/// concurrency silently collapses to the smaller of the two.
 SupervisorConfig resolved_supervisor_config(const ServerConfig& config) {
   SupervisorConfig sup = config.supervisor;
   if (sup.workers <= 0) sup.workers = support::resolve_threads(config.threads);
@@ -35,11 +53,20 @@ Server::Server(const ServerConfig& config)
                               emit_event(line);
                             })
                       : nullptr),
-      pool_(support::resolve_threads(config.threads)),
       cache_(config.cache_capacity) {
   if (!config_.cache_file.empty())
     warm_warnings_ = cache_.load(config_.cache_file);
-  dispatcher_ = std::thread(&Server::dispatcher_loop, this);
+  const int threads = support::resolve_threads(config.threads);
+  threads_.reserve(std::size_t(threads));
+  try {
+    for (int i = 0; i < threads; ++i)
+      threads_.emplace_back(&Server::worker_loop, this);
+  } catch (...) {
+    // Destroying a joinable thread ends the program: stop and join the
+    // threads that did start before the failure leaves the constructor.
+    finish();
+    throw;
+  }
 }
 
 Server::~Server() { finish(); }
@@ -60,194 +87,134 @@ void Server::submit_line(const std::string& line, ResponseSink sink) {
     generated.insert(generated.begin(), 'q');
     parsed.request.id = std::move(generated);
   }
-  if (draining()) {
-    // Never accepted, so E064 ("go elsewhere"), not E066: the E066 contract
-    // is reserved for requests the daemon took responsibility for.
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.shed;
-    }
-    sink(render_error(parsed.request.id, "SSN-E064",
-                      "daemon is draining, request not admitted"));
-    return;
-  }
+  bool was_draining = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (queue_.size() >= config_.queue_capacity) {
-      ++stats_.shed;
-      // Respond outside the lock; fall through via the early unlock below.
-    } else {
+    // Read under mu_, so no request is admitted after finish() has told
+    // the server threads to exit once the queue is empty.
+    was_draining = draining();
+    if (!was_draining && queue_.size() < config_.queue_capacity) {
       ++stats_.accepted;
       queue_.push_back(Pending{std::move(parsed.request), std::move(sink)});
       cv_work_.notify_one();
       return;
     }
+    ++stats_.shed;
   }
-  sink(render_overloaded(parsed.request.id,
-                         jittered_retry_after_ms(parsed.request.id)));
+  // Respond outside the lock. A draining daemon never accepted the
+  // request, so E064 ("go elsewhere"), not E066: the E066 contract is
+  // reserved for requests the daemon took responsibility for.
+  sink(was_draining
+           ? render_error(parsed.request.id, "SSN-E064",
+                          "daemon is draining, request not admitted")
+           : render_overloaded(parsed.request.id,
+                               jittered_retry_after_ms(parsed.request.id)));
 }
 
 void Server::begin_drain() {
   draining_.store(true, std::memory_order_release);
 }
 
-void Server::dispatcher_loop() {
-  std::vector<Pending> batch;
-  while (true) {
+void Server::worker_loop() {
+  for (;;) {
+    Pending pending;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      cv_work_.wait(lock,
-                    [&] { return !queue_.empty() || stop_dispatcher_; });
-      if (queue_.empty() && stop_dispatcher_) {
-        dispatcher_done_ = true;
-        cv_done_.notify_all();
-        return;
-      }
-      batch.clear();
-      batch.reserve(queue_.size());
-      while (!queue_.empty()) {
-        batch.push_back(std::move(queue_.front()));
-        queue_.pop_front();
-      }
+      cv_work_.wait(lock, [&] { return !queue_.empty() || stopping_; });
+      if (queue_.empty()) return;  // stopping, and nothing left to answer
+      pending = std::move(queue_.front());
+      queue_.pop_front();
     }
-    // No RunContext on the pool itself: a drain must not skip unclaimed
-    // items (each still owes its client a response); process() handles the
-    // expired-drain case by answering SSN-E066 without executing.
-    pool_.for_index(batch.size(),
-                    [&](std::size_t i) { process(batch[i]); });
+    process(pending);
   }
 }
 
 void Server::process(Pending& pending) {
-  // Workers must never leak an exception: support::ThreadPool rethrows body
-  // exceptions on the dispatcher thread, which would take the daemon down —
-  // the exact opposite of the isolation contract.
   const auto t0 = std::chrono::steady_clock::now();
-  const std::string id = pending.request.id;
-  const auto elapsed_us = [&t0] {
-    return std::chrono::duration_cast<std::chrono::microseconds>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
-  };
+  ServeRequest& request = pending.request;
+  // Resolve the effective deadline once, before either isolation mode runs:
+  // thread mode, the worker wire, the watchdog and a quarantine line all
+  // read it from the request.
+  if (!(request.deadline_s > 0.0))
+    request.deadline_s = config_.default_deadline_s;
   std::string response;
   std::string cache_warning;
-  enum class Outcome {
-    kOk,
-    kCacheHit,
-    kSolverError,
-    kCancelled,
-    kWorkerTimeout,
-    kWorkerCrashed,
-    kQuarantined
-  } outcome = Outcome::kSolverError;
+  bool cache_hit = false;
+  std::uint64_t ServerStats::*counter = &ServerStats::solver_errors;
+  // A server thread must never leak an exception: it would terminate the
+  // daemon — the exact opposite of the isolation contract.
   try {
+    const std::uint64_t key = cache_key(request);
+    WorkerOutcome outcome;  // kStopped until a branch below answers
     if (drain_expired_.load(std::memory_order_acquire)) {
-      response = render_error(
-          id, "SSN-E066",
-          "cancelled: drain deadline passed before the request started");
-      outcome = Outcome::kCancelled;
+      outcome.detail =
+          "cancelled: drain deadline passed before the request started";
+    } else if (const std::optional<std::string> hit =
+                   replayable_hit(cache_, key, cache_warning)) {
+      cache_hit = true;
+      outcome.status = WorkerOutcome::Status::kOk;
+      outcome.response = render_ok(
+          request.id, *hit, /*cached=*/true,
+          std::chrono::duration_cast<std::chrono::microseconds>(
+              std::chrono::steady_clock::now() - t0)
+              .count());
+    } else if (supervisor_ != nullptr) {
+      // Process isolation: the request executes in a sandboxed worker and
+      // the watchdog enforces its deadline with SIGKILL, so even a solve
+      // that never polls its context cannot outlive it.
+      outcome = supervisor_->execute(request, request.deadline_s);
     } else {
-      const std::uint64_t key = cache_key(pending.request);
-      std::optional<std::string> hit = cache_.get(key, &cache_warning);
-      if (hit) {
-        // Replay the stored verdict: only a verified/refined entry may be
-        // served from cache. Degraded or unverified entries — and entries
-        // with no parseable trust member at all (pre-trust-layer or
-        // damaged) — are recomputed, never served as-is.
-        verify::Verdict verdict = verify::Verdict::kUnverified;
-        if (!extract_trust_verdict(*hit, verdict) ||
-            verify::verdict_rank(verdict) >
-                verify::verdict_rank(verify::Verdict::kRefined))
-          hit.reset();
-      }
-      if (hit) {
-        response = render_ok(id, *hit, /*cached=*/true, elapsed_us());
-        outcome = Outcome::kCacheHit;
-      } else if (supervisor_ != nullptr) {
-        // Process isolation: the request executes in a sandboxed worker and
-        // the watchdog enforces its wall-clock budget with SIGKILL, so even
-        // a solve that never polls its context cannot outlive the deadline.
-        const double deadline = pending.request.deadline_s > 0.0
-                                    ? pending.request.deadline_s
-                                    : config_.default_deadline_s;
-        const WorkerOutcome wo = supervisor_->execute(pending.request, deadline);
-        switch (wo.status) {
-          case WorkerOutcome::Status::kOk:
-            cache_.put(key, wo.fragment);
-            maybe_spill();
-            // The worker's verbatim response line: its id is the client's
-            // and its elapsed_us measured the actual solve.
-            response = wo.response;
-            outcome = Outcome::kOk;
-            break;
-          case WorkerOutcome::Status::kError:
-            response = wo.response;
-            outcome = wo.cancelled ? Outcome::kCancelled
-                                   : Outcome::kSolverError;
-            break;
-          case WorkerOutcome::Status::kWorkerTimeout:
-            response = render_error(id, "SSN-E068", wo.detail);
-            outcome = Outcome::kWorkerTimeout;
-            break;
-          case WorkerOutcome::Status::kWorkerCrashed:
-            response = render_error(id, "SSN-E069", wo.detail);
-            outcome = Outcome::kWorkerCrashed;
-            break;
-          case WorkerOutcome::Status::kQuarantined:
-            response = render_error(id, "SSN-E070", wo.detail);
-            outcome = Outcome::kQuarantined;
-            break;
-          case WorkerOutcome::Status::kStopped:
-            response = render_error(
-                id, "SSN-E066",
-                "cancelled: daemon drained while the request was in flight");
-            outcome = Outcome::kCancelled;
-            break;
-        }
-      } else {
-        support::RunContext ctx;
-        const double deadline = pending.request.deadline_s > 0.0
-                                    ? pending.request.deadline_s
-                                    : config_.default_deadline_s;
-        if (deadline > 0.0) ctx.set_timeout(deadline);
-        {
-          std::lock_guard<std::mutex> lock(mu_);
-          active_.push_back(&ctx);
-          // A drain that already expired while we queued must still cancel
-          // us; the expiry sweep ran before we registered.
-          if (drain_expired_.load(std::memory_order_acquire))
-            ctx.request_cancel();
-        }
-        try {
-          const std::string fragment =
-              execute_request(pending.request, calibrations_, &ctx);
-          cache_.put(key, fragment);
-          maybe_spill();
-          response = render_ok(id, fragment, /*cached=*/false, elapsed_us());
-          outcome = Outcome::kOk;
-        } catch (const support::SolverError& e) {
-          response = render_solver_error(id, e);
-          outcome = support::is_stop_kind(e.kind()) ? Outcome::kCancelled
-                                                    : Outcome::kSolverError;
-        } catch (const NonFiniteJsonError& e) {
-          // A NaN/inf reached the serializer: the result is corrupt and is
-          // refused with its own typed code rather than rendered as null.
-          response = render_error(id, "SSN-E067", e.what());
-          outcome = Outcome::kSolverError;
-        } catch (const std::exception& e) {
-          response = render_error(id, "SSN-E065", e.what());
-          outcome = Outcome::kSolverError;
-        }
+      // Thread mode: the worker's respond(), in process, under a context
+      // a drain past its deadline can cancel.
+      support::RunContext ctx;
+      {
         std::lock_guard<std::mutex> lock(mu_);
-        active_.erase(std::remove(active_.begin(), active_.end(), &ctx),
-                      active_.end());
+        active_.push_back(&ctx);
+        // A drain that already expired while we queued must still cancel
+        // us; the expiry sweep ran before we registered.
+        if (drain_expired_.load(std::memory_order_acquire))
+          ctx.request_cancel();
       }
+      outcome = respond(request, calibrations_, ctx);
+      std::lock_guard<std::mutex> lock(mu_);
+      active_.erase(std::remove(active_.begin(), active_.end(), &ctx),
+                    active_.end());
+    }
+    response = outcome.response;
+    switch (outcome.status) {
+      case WorkerOutcome::Status::kOk:
+        counter = &ServerStats::ok;
+        if (!cache_hit) {
+          cache_.put(key, outcome.fragment);
+          maybe_spill();
+        }
+        break;
+      case WorkerOutcome::Status::kError:
+        // Typed by respond() already (E065/E066/E067): pass it through.
+        if (outcome.cancelled) counter = &ServerStats::cancelled;
+        break;
+      case WorkerOutcome::Status::kWorkerTimeout:
+        counter = &ServerStats::worker_timeouts;
+        response = render_error(request.id, "SSN-E068", outcome.detail);
+        break;
+      case WorkerOutcome::Status::kWorkerCrashed:
+        counter = &ServerStats::worker_crashes;
+        response = render_error(request.id, "SSN-E069", outcome.detail);
+        break;
+      case WorkerOutcome::Status::kQuarantined:
+        counter = &ServerStats::quarantined;
+        response = render_error(request.id, "SSN-E070", outcome.detail);
+        break;
+      case WorkerOutcome::Status::kStopped:
+        counter = &ServerStats::cancelled;
+        response = render_error(request.id, "SSN-E066", outcome.detail);
+        break;
     }
   } catch (...) {  // ssnlint-ignore(SSN-L005)
-    // Isolation backstop: anything escaping a worker would be rethrown by
-    // the pool on the dispatcher thread and kill the daemon.
-    response = render_error(id, "SSN-E065", "internal error");
-    outcome = Outcome::kSolverError;
+    // Isolation backstop: anything escaping here would kill the daemon.
+    response = render_error(request.id, "SSN-E065", "internal error");
+    counter = &ServerStats::solver_errors;
+    cache_hit = false;
   }
   // Count the response before emitting it: a client that has seen its
   // response line must never observe stats that do not yet include it
@@ -255,18 +222,9 @@ void Server::process(Pending& pending) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.responded;
-    switch (outcome) {
-      case Outcome::kOk: ++stats_.ok; break;
-      case Outcome::kCacheHit:
-        ++stats_.ok;
-        ++stats_.cache_hits;
-        break;
-      case Outcome::kSolverError: ++stats_.solver_errors; break;
-      case Outcome::kCancelled: ++stats_.cancelled; break;
-      case Outcome::kWorkerTimeout: ++stats_.worker_timeouts; break;
-      case Outcome::kWorkerCrashed: ++stats_.worker_crashes; break;
-      case Outcome::kQuarantined: ++stats_.quarantined; break;
-    }
+    ++(stats_.*counter);
+    if (cache_hit) ++stats_.cache_hits;
+    if (stats_.responded == stats_.accepted) cv_done_.notify_all();
   }
   try {
     if (!cache_warning.empty())
@@ -300,11 +258,13 @@ void Server::finish() {
   begin_drain();
   {
     std::unique_lock<std::mutex> lock(mu_);
-    stop_dispatcher_ = true;
+    stopping_ = true;
     cv_work_.notify_all();
+    const auto all_responded = [&] {
+      return stats_.responded == stats_.accepted;
+    };
     const auto deadline = support::deadline_after(config_.drain_deadline_s);
-    if (!cv_done_.wait_until(lock, deadline,
-                             [&] { return dispatcher_done_; })) {
+    if (!cv_done_.wait_until(lock, deadline, all_responded)) {
       // Drain deadline passed: cancel in-flight requests cooperatively
       // (each answers SSN-E066 itself) and tell queued-but-unstarted ones
       // to answer without executing. Then wait for real — the engine polls
@@ -317,10 +277,12 @@ void Server::finish() {
       // mode has no such lever; that residual exposure is exactly why
       // --isolate=process exists.)
       if (supervisor_ != nullptr) supervisor_->kill_inflight();
-      cv_done_.wait(lock, [&] { return dispatcher_done_; });
+      cv_done_.wait(lock, all_responded);
     }
   }
-  dispatcher_.join();
+  // Every server thread finds the queue empty and exits; joining them also
+  // waits out the last response's delivery.
+  for (std::thread& thread : threads_) thread.join();
   // No request is in flight past this point, so the workers can be killed
   // and reaped without racing an execute().
   if (supervisor_ != nullptr) supervisor_->shutdown();

@@ -1,15 +1,21 @@
-// The serve daemon's core: bounded admission, a dispatcher that multiplexes
-// queued requests onto the support::ThreadPool, per-request lifecycle
-// contexts, the content-addressed result cache, and graceful drain.
+// The serve daemon's core: bounded admission, server threads that each take
+// the next queued request, per-request lifecycle contexts, the
+// content-addressed result cache, and graceful drain. Both isolation modes
+// share that one path: a request's deadline is resolved once, it executes
+// through respond() (serve/handlers.hpp) in process or in a supervised
+// worker, and one WorkerOutcome switch turns the result into the response,
+// the cache entry and the stats.
 //
 // Robustness contract (what the fault-injection and smoke tests pin down):
 //
-//   - Admission is bounded: when the queue is full a request is *shed* with
-//     a typed SSN-E064 response carrying a retry hint — memory stays
-//     bounded no matter how hard clients push.
+//   - Admission is bounded: when queue_capacity admitted requests are
+//     waiting to start, a new one is *shed* with a typed SSN-E064 response
+//     carrying a retry hint — memory stays bounded no matter how hard
+//     clients push, and a cheap request never waits behind an expensive
+//     one while a server thread is idle.
 //   - One request's failure is that request's problem: a SolverError (or a
-//     per-request deadline) is serialized back to its client as
-//     SSN-E065/E066 and the daemon keeps serving.
+//     per-request deadline, its own or --request-deadline) is serialized
+//     back to its client as SSN-E065/E066 and the daemon keeps serving.
 //   - Every *accepted* request gets exactly one response, even across a
 //     drain: requests still queued when the drain deadline passes are
 //     answered with SSN-E066 instead of being dropped.
@@ -29,7 +35,6 @@
 #include "serve/handlers.hpp"
 #include "serve/protocol.hpp"
 #include "serve/supervisor.hpp"
-#include "support/parallel.hpp"
 #include "support/runcontext.hpp"
 
 #include <atomic>
@@ -46,7 +51,7 @@
 
 namespace ssnkit::serve {
 
-/// Where requests execute. kThread runs them on the server's own pool
+/// Where requests execute. kThread runs them on the server's own threads
 /// (fast, but a segfault or non-cooperative hang belongs to the whole
 /// daemon); kProcess runs each on a supervised worker process behind a
 /// SIGKILL watchdog, so crashes and hangs degrade exactly one request.
@@ -56,7 +61,8 @@ enum class IsolateMode { kThread, kProcess };
 struct ServerConfig {
   /// Worker threads (support::resolve_threads semantics: 0 = auto).
   int threads = 0;
-  /// Admission bound: requests beyond this many waiting are shed (E064).
+  /// Admission bound: requests beyond this many admitted but not yet
+  /// started are shed (E064).
   std::size_t queue_capacity = 64;
   /// Result-cache entries; 0 disables caching.
   std::size_t cache_capacity = 4096;
@@ -64,13 +70,14 @@ struct ServerConfig {
   /// every 256 successful results and on drain.
   std::string cache_file;
   /// Per-request wall-clock budget when the request names none; 0 = none.
+  /// Forwarded on the worker wire, so at most the wire's kMaxDeadlineS.
   double default_deadline_s = 0.0;
   /// How long a drain waits for in-flight work before cancelling it.
   double drain_deadline_s = 5.0;
   /// Execution isolation mode; kProcess enables the Supervisor.
   IsolateMode isolate = IsolateMode::kThread;
   /// Supervisor tuning for kProcess mode. `workers` left at 0 inherits the
-  /// server's resolved thread count so every pool thread has a worker.
+  /// server's resolved thread count so every server thread has a worker.
   SupervisorConfig supervisor;
 };
 
@@ -87,8 +94,8 @@ class Server {
 
   /// Parse, validate, and admit one request line. Responds immediately
   /// (through `sink`) for malformed input (SSN-E063) and overload shed
-  /// (SSN-E064); otherwise queues the request for the dispatcher. Safe from
-  /// any thread.
+  /// (SSN-E064); otherwise queues the request for the next free server
+  /// thread. Safe from any thread.
   void submit_line(const std::string& line, ResponseSink sink);
 
   /// Stop admitting; every further submit_line is shed. Idempotent.
@@ -97,8 +104,9 @@ class Server {
 
   /// Graceful shutdown: stop admission, wait up to drain_deadline_s for
   /// queued + in-flight requests, then cancel stragglers (each still gets
-  /// its SSN-E066 response), join the workers, and spill the cache.
-  /// Idempotent; the destructor calls it.
+  /// its SSN-E066 response). Returns once every accepted request has
+  /// responded exactly once, after joining the server threads and spilling
+  /// the cache. Idempotent; the destructor calls it.
   void finish();
 
   /// Warnings from the cache warm-up (SSN-W067 lines; empty when the spill
@@ -133,7 +141,8 @@ class Server {
     ResponseSink sink;
   };
 
-  void dispatcher_loop();
+  /// A server thread: take the next queued request, process it, repeat.
+  void worker_loop();
   void process(Pending& pending);
   void maybe_spill();
   void emit_event(const std::string& line);
@@ -145,21 +154,20 @@ class Server {
   std::mutex ev_mu_;
   ResponseSink event_sink_;                 ///< guarded by ev_mu_
   std::vector<std::string> event_backlog_;  ///< guarded by ev_mu_
-  /// Declared before pool_ on purpose: the initial worker pool forks in the
-  /// constructor while this process is still single-threaded, and outlives
-  /// the pool threads that call into it.
+  /// The initial worker pool forks in the constructor, before the server
+  /// threads start, while this process is still single-threaded; it
+  /// outlives the server threads that call into it.
   std::unique_ptr<Supervisor> supervisor_;
-  support::ThreadPool pool_;
   ResultCache cache_;
   CalibrationCache calibrations_;
   std::vector<std::string> warm_warnings_;
 
   mutable std::mutex mu_;
-  std::condition_variable cv_work_;   ///< wakes the dispatcher
-  std::condition_variable cv_done_;   ///< wakes finish() when idle
+  std::condition_variable cv_work_;   ///< wakes server threads
+  std::condition_variable cv_done_;   ///< wakes finish() when all responded
   std::deque<Pending> queue_;         ///< guarded by mu_
-  bool stop_dispatcher_ = false;      ///< guarded by mu_
-  bool dispatcher_done_ = false;      ///< guarded by mu_
+  /// finish() ran: server threads exit once queue_ is empty. Guarded by mu_.
+  bool stopping_ = false;
   ServerStats stats_;                 ///< guarded by mu_
   std::uint64_t results_since_spill_ = 0;  ///< guarded by mu_
 
@@ -174,7 +182,7 @@ class Server {
   std::atomic<std::uint64_t> id_seq_{0};
   bool finished_ = false;  ///< finish() already ran (main thread only)
 
-  std::thread dispatcher_;
+  std::vector<std::thread> threads_;  ///< each runs worker_loop()
 };
 
 }  // namespace ssnkit::serve

@@ -224,9 +224,7 @@ WorkerOutcome Supervisor::execute(const ServeRequest& request,
     const bool wrote = support::write_line(fd, line);
     std::string response;
     auto status = support::ReadLineStatus::kEof;
-    if (wrote)
-      status = support::read_line(fd, *inbuf, response,
-                                  Clock::time_point::max());
+    if (wrote) status = support::read_line(fd, *inbuf, response);
 
     if (status == support::ReadLineStatus::kLine) {
       ResponseView view;
@@ -257,7 +255,7 @@ WorkerOutcome Supervisor::execute(const ServeRequest& request,
     // Death path: EOF, read error, or garbage. Reap, schedule respawn,
     // attribute, type.
     support::ExitStatus es;
-    support::wait_child(pid, es, /*block=*/true);
+    support::wait_child(pid, es);
     bool was_timeout = false;
     bool was_drain = false;
     bool stopping = false;
@@ -305,7 +303,7 @@ WorkerOutcome Supervisor::execute(const ServeRequest& request,
 
   WorkerOutcome out;
   out.status = WorkerOutcome::Status::kStopped;
-  out.detail = "supervisor stopping";
+  out.detail = "cancelled: daemon drained while the request was in flight";
   return out;
 }
 
@@ -327,7 +325,7 @@ void Supervisor::shutdown() {
     stop_ = true;
     // Unblock executors stuck on busy workers: without their SIGKILL the
     // socketpair never EOFs. (The server guarantees no new execute() calls
-    // race shutdown — its pool is joined first.)
+    // race shutdown — its threads are joined first.)
     for (Slot& slot : slots_) {
       if (slot.state == SlotState::kBusy) {
         slot.drain_killed = true;
@@ -343,7 +341,7 @@ void Supervisor::shutdown() {
     if (slot.pid > 0) {
       support::kill_child(slot.pid);
       support::ExitStatus es;
-      support::wait_child(slot.pid, es, /*block=*/true);
+      support::wait_child(slot.pid, es);
     }
     if (slot.fd >= 0) ::close(slot.fd);
     slot.fd = -1;

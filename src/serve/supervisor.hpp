@@ -4,7 +4,7 @@
 // Thread mode (PR 7/8) already guarantees exactly-once typed responses and
 // never-silently-wrong results — but only for failures that behave: a
 // segfault in one solve kills every in-flight request, and a non-cooperative
-// hang (a loop that never polls its RunContext) eats a pool thread forever.
+// hang (a loop that never polls its RunContext) eats a server thread forever.
 // The Supervisor moves execution behind a process boundary so those two
 // failure classes become per-request events:
 //
@@ -27,12 +27,13 @@
 // exactly one line per request, typed codes, trust-stamped results — hold
 // across the process hop with no second code path.
 //
-// Concurrency: execute() is called from the server's pool threads, one
+// Concurrency: execute() is called from the server's threads, one
 // in-flight request per worker slot; a single watchdog thread owns kills
 // and respawns. The mutex guards slot state only — never held across
 // fork, write, read, or waitpid.
 #pragma once
 
+#include "serve/handlers.hpp"
 #include "serve/protocol.hpp"
 
 #include <chrono>
@@ -92,23 +93,6 @@ class CrashCorrelation {
   std::size_t quarantined_ = 0;                    // guarded by mu_
 };
 
-/// One executed (or refused) request, as observed by the parent.
-struct WorkerOutcome {
-  enum class Status {
-    kOk,             ///< worker returned an ok response; fragment cacheable
-    kError,          ///< worker returned a typed error response (pass through)
-    kWorkerTimeout,  ///< watchdog SIGKILL — render SSN-E068
-    kWorkerCrashed,  ///< worker died mid-request — render SSN-E069
-    kQuarantined,    ///< refused up front — render SSN-E070
-    kStopped,        ///< drain/shutdown ended it — render SSN-E066
-  };
-  Status status = Status::kStopped;
-  std::string response;   ///< worker's verbatim line (kOk / kError)
-  std::string fragment;   ///< result fragment (kOk only)
-  bool cancelled = false; ///< kError carrying SSN-E066 (worker-side deadline)
-  std::string detail;     ///< human-readable cause for the typed failures
-};
-
 class Supervisor {
  public:
   /// Lifecycle event lines ({"event":"worker-spawn",...} and SSN-W075/W076
@@ -125,7 +109,9 @@ class Supervisor {
 
   /// Run one request on an idle worker (blocking until one is free).
   /// `deadline_s` is the effective per-request budget the watchdog enforces
-  /// (0 = no wall-clock kill). Thread-safe; one worker per concurrent call.
+  /// (0 = no wall-clock kill); the worker arms its cooperative deadline
+  /// from `request.deadline_s`, which the server sets to the same value.
+  /// Thread-safe; one worker per concurrent call.
   WorkerOutcome execute(const ServeRequest& request, double deadline_s);
 
   /// Drain support: SIGKILL every busy worker so their requests resolve as

@@ -1,13 +1,11 @@
 #include "serve/worker.hpp"
 
 #include "serve/handlers.hpp"
-#include "serve/json.hpp"
 #include "serve/protocol.hpp"
 #include "support/faultinject.hpp"
 #include "support/runcontext.hpp"
 #include "support/subprocess.hpp"
 
-#include <chrono>
 #include <cstdlib>
 #include <memory>
 #include <string>
@@ -15,9 +13,9 @@
 
 namespace ssnkit::serve {
 
+#if defined(SSNKIT_FAULT_INJECTION)
 namespace {
 
-#if defined(SSNKIT_FAULT_INJECTION)
 /// worker-hang: spin without ever polling a RunContext or the socket, so
 /// only the supervisor's SIGKILL watchdog can end this process. The
 /// volatile counter keeps the infinite loop observable (a side-effect-free
@@ -61,31 +59,9 @@ void allocation_burst() {
   }
 #endif
 }
-#endif
-
-/// Execute one parsed request and render exactly one response line. The
-/// same exception-to-code mapping as the thread-mode server, so a client
-/// cannot tell which isolation mode answered.
-std::string respond(const ServeRequest& request,
-                    CalibrationCache& calibrations) {
-  support::RunContext ctx;
-  if (request.deadline_s > 0.0) ctx.set_timeout(request.deadline_s);
-  const auto t0 = std::chrono::steady_clock::now();
-  try {
-    const std::string fragment = execute_request(request, calibrations, &ctx);
-    const auto elapsed = std::chrono::duration_cast<std::chrono::microseconds>(
-        std::chrono::steady_clock::now() - t0);
-    return render_ok(request.id, fragment, false, elapsed.count());
-  } catch (const support::SolverError& e) {
-    return render_solver_error(request.id, e);
-  } catch (const NonFiniteJsonError& e) {
-    return render_error(request.id, "SSN-E067", e.what());
-  } catch (const std::exception& e) {
-    return render_error(request.id, "SSN-E065", e.what());
-  }
-}
 
 }  // namespace
+#endif
 
 int worker_main(int fd) {
   // Worker-local calibration cache: fits are re-done per worker process
@@ -95,11 +71,10 @@ int worker_main(int fd) {
   std::string inbuf;
   std::string line;
   for (;;) {
-    // No read deadline: an idle worker blocks until the parent writes or
-    // closes. Watchdog enforcement only applies while a request is in
-    // flight, and that is the parent's job.
-    const auto status = support::read_line(
-        fd, inbuf, line, std::chrono::steady_clock::time_point::max());
+    // An idle worker blocks until the parent writes or closes. Watchdog
+    // enforcement only applies while a request is in flight, and that is
+    // the parent's job.
+    const auto status = support::read_line(fd, inbuf, line);
     if (status == support::ReadLineStatus::kEof) return 0;
     if (status != support::ReadLineStatus::kLine) return 1;
 
@@ -126,7 +101,11 @@ int worker_main(int fd) {
 #endif
     }
 
-    if (!support::write_line(fd, respond(parsed.request, calibrations)))
+    // The deadline on the wire is the effective one: the server resolved
+    // --request-deadline into it before forwarding the request.
+    support::RunContext ctx;
+    if (!support::write_line(
+            fd, respond(parsed.request, calibrations, ctx).response))
       return 1;
   }
 }

@@ -2,11 +2,13 @@
 // runs inside each sandboxed child the Supervisor forks.
 //
 // One worker handles one request at a time: it reads a render_request()
-// line from its socketpair, executes it through the same execute_request()
-// path the thread-mode server uses, and writes back one standard response
-// line (render_ok / render_solver_error / render_error). Everything the
-// protocol guarantees on the client wire therefore holds on the worker wire
-// too, and the supervisor can parse worker output with split_response_line.
+// line from its socketpair, runs it through respond() (serve/handlers.hpp)
+// — the function thread mode calls in process — and writes back the one
+// response line that returns. The line's deadline is the effective one
+// (the server resolved --request-deadline into it), so a deadline expires
+// the same way in both modes. Everything the protocol guarantees on the
+// client wire therefore holds on the worker wire too, and the supervisor
+// can parse worker output with split_response_line.
 //
 // What the worker deliberately does NOT do:
 //

@@ -1,6 +1,12 @@
 #include "support/parallel.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
+#include <mutex>
+#include <system_error>
+#include <thread>
+#include <vector>
 
 namespace ssnkit::support {
 
@@ -10,111 +16,58 @@ int resolve_threads(int requested) {
   return int(std::clamp(hw == 0 ? 1u : hw, 1u, 16u));
 }
 
-ThreadPool::ThreadPool(int threads) {
-  const int n = std::max(threads, 1);
-  workers_.reserve(std::size_t(n));
-  for (int i = 0; i < n; ++i)
-    workers_.emplace_back([this] { worker_loop(); });
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-  }
-  cv_job_.notify_all();
-  for (std::thread& t : workers_) t.join();
-}
-
-void ThreadPool::worker_loop() {
-  std::uint64_t seen = 0;
-  for (;;) {
-    const std::function<void(std::size_t)>* body = nullptr;
-    const RunContext* ctx = nullptr;
-    std::size_t count = 0;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_job_.wait(lock, [&] { return stop_ || generation_ != seen; });
-      if (stop_) return;
-      seen = generation_;
-      body = body_;
-      ctx = ctx_;
-      count = count_;
-    }
-    for (;;) {
-      // Cooperative cancellation: poll before claiming, so a stop drains
-      // the batch (in-flight items finish, unclaimed items stay unclaimed)
-      // without being mistaken for a crash.
-      if (ctx != nullptr && ctx->stop_requested() != StopReason::kNone) {
-        drained_.store(true, std::memory_order_relaxed);
-        next_.store(count, std::memory_order_relaxed);
-        break;
-      }
-      const std::size_t i = next_.fetch_add(1, std::memory_order_relaxed);
-      if (i >= count) break;
-      try {
-        (*body)(i);
-        completed_.fetch_add(1, std::memory_order_relaxed);
-        // Not a swallow: the exception is stored and rethrown on the
-        // caller's thread after the batch joins (see for_index).
-      } catch (...) {  // ssnlint-ignore(SSN-L005)
-        std::lock_guard<std::mutex> lock(mu_);
-        if (!error_) error_ = std::current_exception();
-        // Drain the cursor so siblings stop claiming new items; everyone
-        // still finishes the item they are on.
-        next_.store(count, std::memory_order_relaxed);
-      }
-    }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (--active_ == 0) cv_done_.notify_all();
-    }
-  }
-}
-
-BatchStatus ThreadPool::for_index(std::size_t count,
-                                  const std::function<void(std::size_t)>& body,
-                                  const RunContext* ctx) {
-  if (count == 0) return {};
-  std::unique_lock<std::mutex> lock(mu_);
-  body_ = &body;
-  ctx_ = ctx;
-  count_ = count;
-  next_.store(0, std::memory_order_relaxed);
-  completed_.store(0, std::memory_order_relaxed);
-  drained_.store(false, std::memory_order_relaxed);
-  error_ = nullptr;
-  active_ = workers_.size();
-  ++generation_;
-  cv_job_.notify_all();
-  cv_done_.wait(lock, [&] { return active_ == 0; });
-  body_ = nullptr;
-  ctx_ = nullptr;
-  // An exception outranks a concurrent cancellation: the caller must see
-  // the crash even if the token also tripped while draining.
-  if (error_) std::rethrow_exception(error_);
-  return {completed_.load(std::memory_order_relaxed),
-          drained_.load(std::memory_order_relaxed)};
-}
-
 BatchStatus parallel_for_index(int threads, std::size_t count,
                                const std::function<void(std::size_t)>& body,
                                const RunContext* ctx) {
-  const int n = resolve_threads(threads);
-  if (n <= 1 || count <= 1) {
-    BatchStatus status;
-    for (std::size_t i = 0; i < count; ++i) {
+  std::atomic<std::size_t> next{0};       // next unclaimed index
+  std::atomic<std::size_t> completed{0};  // bodies run to completion
+  std::atomic<bool> stopped{false};       // a RunContext stop drained it
+  std::mutex error_mu;
+  std::exception_ptr error;  // first body exception; guarded by error_mu
+  const auto work = [&] {
+    for (;;) {
+      // Cooperative cancellation: poll before claiming, so a stop drains
+      // the batch (in-flight items finish, unclaimed items stay unclaimed)
+      // without being mistaken for a crash. A stop that skipped nothing
+      // (every item already claimed) does not count as one.
       if (ctx != nullptr && ctx->stop_requested() != StopReason::kNone) {
-        status.stopped = true;
-        return status;
+        if (next.exchange(count, std::memory_order_relaxed) < count)
+          stopped.store(true, std::memory_order_relaxed);
+        return;
       }
-      body(i);
-      ++status.completed;
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= count) return;
+      try {
+        body(i);
+        completed.fetch_add(1, std::memory_order_relaxed);
+        // Not a swallow: the exception is stored and rethrown on the
+        // caller's thread after the join.
+      } catch (...) {  // ssnlint-ignore(SSN-L005)
+        std::lock_guard<std::mutex> lock(error_mu);
+        if (!error) error = std::current_exception();
+        // Drain the cursor so siblings stop claiming new items; everyone
+        // still finishes the item they are on.
+        next.store(count, std::memory_order_relaxed);
+      }
     }
-    return status;
+  };
+  const std::size_t workers =
+      std::min(std::size_t(resolve_threads(threads)), count);
+  std::vector<std::thread> helpers;
+  helpers.reserve(workers);
+  try {
+    for (std::size_t k = 1; k < workers; ++k) helpers.emplace_back(work);
+  } catch (const std::system_error&) {
+    // Out of threads: the helpers that started and the caller still run
+    // every item, and no result depends on how many ran them.
   }
-  ThreadPool pool(int(std::min<std::size_t>(std::size_t(n), count)));
-  return pool.for_index(count, body, ctx);
+  work();
+  for (std::thread& t : helpers) t.join();
+  // An exception outranks a concurrent cancellation: the caller must see
+  // the crash even if the token also tripped while draining.
+  if (error) std::rethrow_exception(error);
+  return {completed.load(std::memory_order_relaxed),
+          stopped.load(std::memory_order_relaxed)};
 }
 
 }  // namespace ssnkit::support

@@ -3,7 +3,10 @@
 // The batch drivers (Monte Carlo, sweeps, sensitivities) are embarrassingly
 // parallel: every item is independent, expensive, and writes one
 // preallocated result slot. This header provides the primitive they need —
-// `parallel_for_index` — backed by a fixed-size thread pool.
+// `parallel_for_index`, a fork-join over std::threads that claim indices
+// from a shared atomic cursor, so item granularity can be very uneven (a
+// sample that climbs the whole recovery ladder next to one that converges
+// instantly) without idling anyone.
 //
 // Determinism contract (what makes threads > 1 safe to expose as a CLI
 // knob): callers draw all per-item randomness up front, bodies write only
@@ -16,7 +19,7 @@
 // order) is rethrown on the calling thread after all workers finish the
 // items they already claimed. Remaining unclaimed items are skipped.
 //
-// Cancellation: when a job carries a RunContext, every worker polls it
+// Cancellation: when a batch carries a RunContext, every worker polls it
 // before claiming the next item. A tripped token (or an expired deadline)
 // drains the batch exactly like an exception does — in-flight items finish,
 // unclaimed items are skipped — but *without* an error: the returned
@@ -26,15 +29,8 @@
 
 #include "support/runcontext.hpp"
 
-#include <atomic>
-#include <condition_variable>
 #include <cstddef>
-#include <cstdint>
-#include <exception>
 #include <functional>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 namespace ssnkit::support {
 
@@ -50,53 +46,14 @@ struct BatchStatus {
 /// 0 or negative means "auto" = hardware concurrency clamped to [1, 16].
 int resolve_threads(int requested);
 
-/// A fixed-size pool of worker threads executing index-space jobs. Workers
-/// are spawned once in the constructor and claim indices from a shared
-/// atomic cursor, so item granularity can be very uneven (a sample that
-/// climbs the whole recovery ladder next to one that converges instantly)
-/// without idling anyone.
-class ThreadPool {
- public:
-  /// Spawn `threads` workers (clamped to >= 1).
-  explicit ThreadPool(int threads);
-  ~ThreadPool();
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  int thread_count() const { return int(workers_.size()); }
-
-  /// Run body(i) for every i in [0, count); blocks until all items finish.
-  /// The first exception a body throws is rethrown here after the join.
-  /// When `ctx` is non-null, workers poll it before claiming each item and
-  /// drain cleanly on stop (reported via the returned status).
-  BatchStatus for_index(std::size_t count,
-                        const std::function<void(std::size_t)>& body,
-                        const RunContext* ctx = nullptr);
-
- private:
-  void worker_loop();
-
-  std::vector<std::thread> workers_;
-  std::mutex mu_;
-  std::condition_variable cv_job_;   ///< wakes workers on a new job / stop
-  std::condition_variable cv_done_;  ///< wakes the caller when a job drains
-  const std::function<void(std::size_t)>* body_ = nullptr;  // guarded by mu_
-  const RunContext* ctx_ = nullptr;  ///< current job's context; guarded by mu_
-  std::size_t count_ = 0;            ///< items in the current job
-  std::atomic<std::size_t> next_{0};  ///< next unclaimed index
-  std::atomic<std::size_t> completed_{0};  ///< bodies finished this job
-  std::atomic<bool> drained_{false};  ///< a RunContext stop drained the job
-  std::size_t active_ = 0;           ///< workers still inside the job
-  std::uint64_t generation_ = 0;     ///< bumped per job
-  bool stop_ = false;
-  std::exception_ptr error_;         ///< first body exception, if any
-};
-
-/// Run body(i) for every i in [0, count), distributing items over
-/// `threads` workers (after resolve_threads). threads <= 1 — and any
-/// count <= 1 — runs inline on the caller with no pool at all, so the
-/// serial path is exactly the plain loop (including the per-item
-/// RunContext poll when `ctx` is non-null).
+/// Run body(i) for every i in [0, count) on min(resolve_threads(threads),
+/// count) workers: the caller plus that many minus one std::threads,
+/// joined before the return. threads <= 1 — and any count <= 1 — starts no
+/// thread, so the serial path is the plain loop (including the per-item
+/// RunContext poll when `ctx` is non-null). The first exception a body
+/// throws is rethrown here after the join. When `ctx` is non-null, workers
+/// poll it before claiming each item and drain cleanly on stop (reported
+/// via the returned status).
 BatchStatus parallel_for_index(int threads, std::size_t count,
                                const std::function<void(std::size_t)>& body,
                                const RunContext* ctx = nullptr);

@@ -5,7 +5,6 @@
 #include <csignal>
 #include <cstring>
 
-#include <poll.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/types.h>
@@ -117,9 +116,7 @@ bool write_line(int fd, const std::string& line) {
   return true;
 }
 
-ReadLineStatus read_line(int fd, std::string& inbuf, std::string& line,
-                         std::chrono::steady_clock::time_point deadline) {
-  using Clock = std::chrono::steady_clock;
+ReadLineStatus read_line(int fd, std::string& inbuf, std::string& line) {
   for (;;) {
     const std::size_t nl = inbuf.find('\n');
     if (nl != std::string::npos) {
@@ -127,23 +124,6 @@ ReadLineStatus read_line(int fd, std::string& inbuf, std::string& line,
       inbuf.erase(0, nl + 1);
       return ReadLineStatus::kLine;
     }
-    const Clock::time_point now = Clock::now();
-    if (now >= deadline) return ReadLineStatus::kTimeout;
-    // Poll in bounded slices so a caller-side state change (the watchdog
-    // killing the peer) surfaces within one slice as EOF, not at deadline.
-    const auto remaining =
-        std::chrono::duration_cast<std::chrono::milliseconds>(deadline - now);
-    const int slice_ms =
-        static_cast<int>(std::min<long long>(remaining.count() + 1, 100));
-    struct pollfd pfd = {};
-    pfd.fd = fd;
-    pfd.events = POLLIN;
-    const int pr = ::poll(&pfd, 1, slice_ms);
-    if (pr < 0) {
-      if (errno == EINTR) continue;
-      return ReadLineStatus::kError;
-    }
-    if (pr == 0) continue;  // slice elapsed; re-check deadline
     char buf[4096];
     const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
     if (n < 0) {
@@ -155,20 +135,15 @@ ReadLineStatus read_line(int fd, std::string& inbuf, std::string& line,
   }
 }
 
-bool wait_child(long pid, ExitStatus& out, bool block) {
+void wait_child(long pid, ExitStatus& out) {
   int status = 0;
   for (;;) {
-    const pid_t r = ::waitpid(static_cast<pid_t>(pid), &status,
-                              block ? 0 : WNOHANG);
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      // ECHILD: already reaped (or never ours). Report it as a plain exit
-      // so callers cannot wedge on a pid that will never change state.
-      out = ExitStatus{true, 0, 0};
-      return true;
-    }
-    if (r == 0) return false;  // still running (WNOHANG)
-    break;
+    if (::waitpid(static_cast<pid_t>(pid), &status, 0) >= 0) break;
+    if (errno == EINTR) continue;
+    // ECHILD: already reaped (or never ours). Report it as a plain exit
+    // so callers cannot wedge on a pid that will never change state.
+    out = ExitStatus{true, 0, 0};
+    return;
   }
   if (WIFEXITED(status)) {
     out = ExitStatus{true, WEXITSTATUS(status), 0};
@@ -177,7 +152,6 @@ bool wait_child(long pid, ExitStatus& out, bool block) {
   } else {
     out = ExitStatus{true, status, 0};
   }
-  return true;
 }
 
 void kill_child(long pid) {

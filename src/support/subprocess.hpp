@@ -2,7 +2,7 @@
 //
 // The serve supervisor (serve/supervisor.hpp) needs exactly four process
 // primitives: spawn a child connected by a byte stream, exchange newline-
-// framed messages with a deadline, observe how the child died, and kill it.
+// framed messages, observe how the child died, and kill it.
 // This header is the only sanctioned home for those raw syscalls outside
 // the supervisor itself — ssnlint rule SSN-L014 flags `fork`/`waitpid`/
 // `kill` anywhere else, so process lifecycle management cannot leak into
@@ -15,9 +15,9 @@
 //     atexit handlers, and resets SIGINT/SIGTERM so a terminal Ctrl-C (sent
 //     to the whole foreground process group) is handled by the supervisor,
 //     not by each worker racing it.
-//   - Line IO is poll-driven with caller-owned deadlines: read_line never
-//     blocks past `deadline`, which is what lets the supervisor's watchdog
-//     stay in control of a wedged child.
+//   - Line IO blocks: the watchdog needs no read timeout to stay in
+//     control of a wedged child, because its SIGKILL closes the child's
+//     end of the socketpair and the parent's pending read returns EOF.
 //   - ExitStatus separates "exited with code" from "killed by signal"
 //     because the supervisor types them differently (a nonzero exit is a
 //     worker bug; SIGKILL is usually the watchdog or the rlimit).
@@ -26,7 +26,6 @@
 // (socket.cpp), so there is no _WIN32 branch to keep alive.
 #pragma once
 
-#include <chrono>
 #include <functional>
 #include <string>
 
@@ -65,18 +64,15 @@ bool spawn_child(const std::function<int(int fd)>& child_main,
 bool write_line(int fd, const std::string& line);
 
 enum class ReadLineStatus {
-  kLine,     ///< one full line extracted into `line`
-  kEof,      ///< peer closed (child exited) with no complete line pending
-  kTimeout,  ///< deadline passed with no complete line
-  kError,    ///< read error
+  kLine,   ///< one full line extracted into `line`
+  kEof,    ///< peer closed (child exited) with no complete line pending
+  kError,  ///< read error
 };
 
 /// Extract the next newline-terminated line from `fd`, buffering partial
-/// reads in `inbuf` across calls. Polls in short slices until `deadline`
-/// (steady clock), so a wedged peer costs bounded wall-clock, not a hung
-/// thread. The returned `line` has the newline stripped.
-ReadLineStatus read_line(int fd, std::string& inbuf, std::string& line,
-                         std::chrono::steady_clock::time_point deadline);
+/// reads in `inbuf` across calls. Blocks until a line is complete or the
+/// peer closes. The returned `line` has the newline stripped.
+ReadLineStatus read_line(int fd, std::string& inbuf, std::string& line);
 
 /// How a child ended.
 struct ExitStatus {
@@ -85,10 +81,8 @@ struct ExitStatus {
   int sig = 0;
 };
 
-/// Reap a child. Non-blocking when `block` is false (returns false while
-/// the child is still running); blocking reap otherwise. Returns true with
-/// `out` filled once the child is reaped.
-bool wait_child(long pid, ExitStatus& out, bool block);
+/// Reap a child, blocking until it has ended, and fill `out`.
+void wait_child(long pid, ExitStatus& out);
 
 /// Send SIGKILL to a child (idempotent; ESRCH is fine).
 void kill_child(long pid);

@@ -249,6 +249,33 @@ TEST(Cli, BadOptionValueFails) {
   EXPECT_EQ(run({"calibrate", "--golden", "spice"}, out, err), 1);
 }
 
+TEST(Cli, NegativeDurationsFail) {
+  // A negative duration is an error like --n 0, never a silent "none".
+  std::string out, err;
+  for (const char* flag : {"--deadline", "--max-wall"}) {
+    SCOPED_TRACE(flag);
+    EXPECT_EQ(run({"mc", "--samples", "5", flag, "-3"}, out, err), 1);
+    EXPECT_NE(err.find(std::string("error: ") + flag), std::string::npos)
+        << err;
+  }
+  // serve fails before it reads a request, so no stdin is needed.
+  for (const char* flag :
+       {"--drain", "--grace", "--worker-cpu", "--request-deadline"}) {
+    SCOPED_TRACE(flag);
+    EXPECT_EQ(run({"serve", flag, "-1"}, out, err), 1);
+    EXPECT_NE(err.find(std::string("error: ") + flag), std::string::npos)
+        << err;
+  }
+}
+
+TEST(Cli, RequestDeadlineBeyondTheWireBoundFails) {
+  // The default deadline travels on the worker wire, which carries at most
+  // 3600 s: a larger one must fail at startup, not as a per-request E063.
+  std::string out, err;
+  EXPECT_EQ(run({"serve", "--request-deadline", "3601"}, out, err), 1);
+  EXPECT_NE(err.find("error: --request-deadline"), std::string::npos) << err;
+}
+
 TEST(Cli, UnrecognizedOptionWarns) {
   std::string out, err;
   ASSERT_EQ(run({"calibrate", "--bogus", "1"}, out, err), 0);

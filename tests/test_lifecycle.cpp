@@ -290,7 +290,8 @@ TEST(Lifecycle, StoppedSampleIsNotDegradedToAnalytic) {
 // --- journal primitives -----------------------------------------------------
 
 TEST(Lifecycle, DoubleBitsRoundTripIsExact) {
-  for (const double v : {0.0, -0.0, 1.0, -1.5, 0.1, 1e-300, 1.8e308}) {
+  for (const double v : {0.0, -0.0, 1.0, -1.5, 0.1, 1e-300,
+                         std::numeric_limits<double>::max()}) {
     EXPECT_EQ(support::double_bits(support::bits_double(
                   support::double_bits(v))),
               support::double_bits(v));

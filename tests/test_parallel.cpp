@@ -1,7 +1,7 @@
-// The deterministic batch runner: resolve_threads policy, ThreadPool
-// dispatch, exception propagation, and the serial inline path of
-// parallel_for_index. The bit-identical serial-vs-parallel guarantees of
-// the analysis layer are covered in test_parallel_equivalence.cpp.
+// The deterministic batch runner: resolve_threads policy, the fork-join
+// dispatch of parallel_for_index, exception propagation, and its serial
+// inline path. The bit-identical serial-vs-parallel guarantees of the
+// analysis layer are covered in test_parallel_equivalence.cpp.
 #include "support/parallel.hpp"
 
 #include <gtest/gtest.h>
@@ -17,7 +17,6 @@ namespace {
 
 using ssnkit::support::parallel_for_index;
 using ssnkit::support::resolve_threads;
-using ssnkit::support::ThreadPool;
 
 TEST(ResolveThreads, ExplicitCountIsHonored) {
   EXPECT_EQ(resolve_threads(1), 1);
@@ -35,41 +34,47 @@ TEST(ResolveThreads, AutoIsPositiveAndBounded) {
   }
 }
 
-TEST(ThreadPool, RunsEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.thread_count(), 4);
+TEST(ParallelForIndex, RunsEveryIndexExactlyOnce) {
   std::vector<std::atomic<int>> hits(100);
-  pool.for_index(hits.size(), [&](std::size_t i) { ++hits[i]; });
+  const auto status =
+      parallel_for_index(4, hits.size(), [&](std::size_t i) { ++hits[i]; });
+  EXPECT_EQ(status.completed, hits.size());
   for (std::size_t i = 0; i < hits.size(); ++i)
     EXPECT_EQ(hits[i].load(), 1) << "index " << i;
 }
 
-TEST(ThreadPool, ReusableAcrossBatches) {
-  ThreadPool pool(2);
-  std::vector<int> out(10, 0);
-  pool.for_index(out.size(), [&](std::size_t i) { out[i] = int(i); });
-  pool.for_index(out.size(), [&](std::size_t i) { out[i] += int(i); });
-  for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], 2 * int(i));
-}
-
-TEST(ThreadPool, EmptyBatchIsANoOp) {
-  ThreadPool pool(2);
+TEST(ParallelForIndex, EmptyBatchIsANoOp) {
   bool ran = false;
-  pool.for_index(0, [&](std::size_t) { ran = true; });
+  const auto status =
+      parallel_for_index(4, 0, [&](std::size_t) { ran = true; });
   EXPECT_FALSE(ran);
+  EXPECT_EQ(status.completed, 0u);
 }
 
-TEST(ThreadPool, PropagatesFirstExceptionAndStaysUsable) {
-  ThreadPool pool(3);
-  EXPECT_THROW(pool.for_index(50,
-                              [&](std::size_t i) {
-                                if (i == 7) throw std::runtime_error("boom");
-                              }),
+TEST(ParallelForIndex, PropagatesFirstException) {
+  EXPECT_THROW(parallel_for_index(4, 50,
+                                  [&](std::size_t i) {
+                                    if (i == 7)
+                                      throw std::runtime_error("boom");
+                                  }),
                std::runtime_error);
-  // The failed batch must not poison the pool.
-  std::atomic<int> count{0};
-  pool.for_index(20, [&](std::size_t) { ++count; });
-  EXPECT_EQ(count.load(), 20);
+}
+
+TEST(ParallelForIndex, StopRaisedByTheLastItemSkipsNothing) {
+  // The last index is claimed only after every other one, so a stop that
+  // its body raises skips no item: the batch completed and is not reported
+  // as stopped, on the serial path and the threaded one alike.
+  for (const int threads : {1, 4}) {
+    ssnkit::support::RunContext ctx;
+    const auto status = parallel_for_index(
+        threads, 8,
+        [&](std::size_t i) {
+          if (i == 7) ctx.request_cancel();
+        },
+        &ctx);
+    EXPECT_EQ(status.completed, 8u) << threads << " threads";
+    EXPECT_FALSE(status.stopped) << threads << " threads";
+  }
 }
 
 TEST(ParallelForIndex, SerialAndParallelComputeSameSlots) {

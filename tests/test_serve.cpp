@@ -443,7 +443,7 @@ TEST(ServeServer, OverloadShedsWithE064AndBoundedQueue) {
   server.submit_line(
       R"({"id":"slow","cmd":"sweep-n","max_n":64,"tr":1e-6,"golden":"bsim","c":1e-9,"deadline":0.5})",
       rc.sink());
-  // Give the dispatcher time to claim the slow request off the queue.
+  // Give a server thread time to claim the slow request off the queue.
   const auto t0 = std::chrono::steady_clock::now();
   while (server.stats().accepted < 1 &&
          std::chrono::steady_clock::now() - t0 < std::chrono::seconds(10))
@@ -459,6 +459,32 @@ TEST(ServeServer, OverloadShedsWithE064AndBoundedQueue) {
   const auto stats = server.stats();
   EXPECT_EQ(stats.shed, 1u);
   EXPECT_EQ(stats.accepted, 2u);
+}
+
+TEST(ServeServer, IdleThreadAnswersWhileASlowRequestRuns) {
+  // Two server threads: while one runs the slow sweep, the other takes the
+  // estimate submitted after it, so the estimate answers first.
+  serve::ServerConfig config = quick_config();
+  ASSERT_EQ(config.threads, 2);
+  config.cache_capacity = 0;
+  serve::Server server(config);
+  ResponseCollector rc;
+  // 150-230 ms on a 4-vCPU VM (release); the estimate takes microseconds
+  // plus one calibration fit.
+  server.submit_line(
+      R"({"id":"slow","cmd":"sweep-n","max_n":64,"tr":1e-6,"golden":"bsim","c":1e-9,"deadline":5})",
+      rc.sink());
+  const auto t0 = std::chrono::steady_clock::now();
+  while (server.stats().accepted < 1 &&
+         std::chrono::steady_clock::now() - t0 < std::chrono::seconds(10))
+    std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  server.submit_line(R"({"id":"quick","cmd":"estimate","n":4})", rc.sink());
+  const auto lines = rc.await(2);
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_NE(lines[0].find("\"id\":\"quick\",\"ok\":true"), std::string::npos)
+      << lines[0];
+  EXPECT_NE(lines[1].find("\"id\":\"slow\""), std::string::npos) << lines[1];
 }
 
 TEST(ServeServer, PerRequestDeadlineCancelsOnlyThatRequest) {

@@ -284,6 +284,56 @@ TEST(SupervisorProcess, GraceBeyondTheClockRangeNeverKills) {
   EXPECT_EQ(server.stats().worker_timeouts, 0u);
 }
 
+// A sweep that names no deadline of its own: 150-230 ms on a 4-vCPU VM
+// (release), several times the 50 ms server default below.
+constexpr const char* kUnboundedSweep =
+    R"({"id":"long","cmd":"sweep-n","max_n":64,"tr":1e-6,"golden":"bsim","c":1e-9})";
+
+TEST(SupervisorProcess, RequestDeadlineFlagReachesTheWorker) {
+  // --request-deadline stops the worker cooperatively (SSN-E066
+  // deadline-expired), as in thread mode, long before the watchdog's
+  // 5 s grace would kill it.
+  serve::ServerConfig config = process_config(1);
+  config.cache_capacity = 0;
+  config.default_deadline_s = 0.05;
+  config.supervisor.grace_s = 5.0;
+  serve::Server server(config);
+  ResponseCollector rc;
+  server.submit_line(kUnboundedSweep, rc.sink());
+  const auto lines = rc.await(1);
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_EQ(count_lines_with(lines, "SSN-E066"), 1) << lines[0];
+  EXPECT_EQ(count_lines_with(lines, "\"kind\":\"deadline-expired\""), 1)
+      << lines[0];
+  EXPECT_EQ(server.stats().worker_timeouts, 0u);
+  EXPECT_EQ(server.stats().cancelled, 1u);
+}
+
+TEST(SupervisorProcess, RequestDeadlineFlagNeverCostsAWorker) {
+  // The worker stops cooperatively at --request-deadline, so even a grace
+  // as short as the deadline never lets the watchdog kill it (SSN-E068)
+  // or quarantine the key after two deaths (SSN-E070): every copy answers
+  // SSN-E066.
+  serve::ServerConfig config = process_config(1);
+  config.cache_capacity = 0;
+  config.default_deadline_s = 0.05;
+  config.supervisor.grace_s = 0.05;
+  serve::Server server(config);
+  ResponseCollector rc;
+  for (int i = 0; i < 3; ++i) {
+    server.submit_line(kUnboundedSweep, rc.sink());
+    rc.await(std::size_t(i) + 1);
+  }
+  const auto lines = rc.await(3);
+  ASSERT_EQ(lines.size(), 3u);
+  EXPECT_EQ(count_lines_with(lines, "\"kind\":\"deadline-expired\""), 3)
+      << lines[0] << '\n' << lines[1] << '\n' << lines[2];
+  const auto stats = server.stats();
+  EXPECT_EQ(stats.cancelled, 3u);
+  EXPECT_EQ(stats.worker_timeouts, 0u);
+  EXPECT_EQ(stats.quarantined, 0u);
+}
+
 TEST(SupervisorProcess, DrainStaysBoundedWhenTheWorkerIsStopped) {
   // Regression for the drain-vs-hang hole: SIGSTOP freezes the worker into
   // a perfect non-cooperative hang (it will never poll anything again).
