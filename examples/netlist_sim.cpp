@@ -95,13 +95,19 @@ int main(int argc, char** argv) {
                 result.final_value(probe), result.point_count(),
                 result.stats.newton_iterations);
 
+    std::vector<std::string> header = {"time"};
     std::vector<waveform::Waveform> waves;
-    std::vector<const waveform::Waveform*> wave_ptrs;
-    for (const auto& n : result.signal_names())
+    for (const auto& n : result.signal_names()) {
+      header.push_back(n);
       waves.push_back(result.waveform(n));
-    for (const auto& w : waves) wave_ptrs.push_back(&w);
-    std::ofstream out("netlist_sim.csv");
-    waveform::write_waveforms_csv(out, result.signal_names(), wave_ptrs);
+    }
+    io::CsvWriter csv(header);
+    for (std::size_t i = 0; i < result.point_count(); ++i) {
+      std::vector<double> row = {result.times()[i]};
+      for (const auto& w : waves) row.push_back(w.value(i));
+      csv.add_row(row);
+    }
+    csv.write_file("netlist_sim.csv");
     std::printf("wrote netlist_sim.csv\n");
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());

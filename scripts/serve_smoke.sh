@@ -3,7 +3,9 @@
 # what an operator actually does:
 #
 #   leg 1  stdin mode: repeated request answers from the cache, a restarted
-#          daemon warms the cache from its crash-safe spill file
+#          daemon warms the cache from its crash-safe spill file, and
+#          `ssnkit estimate` on the same scenario prints the same V_max (to
+#          its 5 digits) and the same trust verdict as the daemon
 #   leg 2  socket mode: start the daemon, fire closed-loop load from four
 #          connections plus one deliberately slow client, SIGTERM the
 #          daemon mid-load, and assert the clean-drain contract:
@@ -51,6 +53,33 @@ grep -q '"id":"r3","ok":true,"cached":true' "$WORK/leg1b.log" \
   || { echo "serve_smoke: restarted daemon did not warm from spill" >&2
        cat "$WORK/leg1b.log" >&2; exit 1; }
 echo "cache hit + warm restart OK"
+# The CLI and the daemon make the same estimate calls: same V_max at the
+# CLI's 5 significant digits (io::si_format), same verdict.
+"$SSNKIT" estimate --n 8 --tr 0.1n > "$WORK/leg1c.txt"
+python3 - "$WORK/leg1a.log" "$WORK/leg1c.txt" <<'EOF'
+import json, sys
+
+def si_format(value, digits=5):
+    for scale, suffix in ((1e12, "T"), (1e9, "G"), (1e6, "M"), (1e3, "k"),
+                          (1.0, ""), (1e-3, "m"), (1e-6, "u"), (1e-9, "n"),
+                          (1e-12, "p"), (1e-15, "f")):
+        if abs(value) >= scale * 0.9995:
+            return "%.*g%s" % (digits, value / scale, suffix)
+    return "%.*g" % (digits, value)
+
+served = next(json.loads(line)["result"] for line in open(sys.argv[1])
+              if '"id":"r1"' in line)
+cli = open(sys.argv[2]).read().splitlines()
+row = next(l for l in cli if l.startswith("| max SSN"))
+cli_vmax = row.split("|")[2].strip()
+cli_verdict = next(l for l in cli if l.startswith("trust: "))[7:].split()[0]
+want_vmax = si_format(served["v_max"]) + "V"
+want_verdict = served["trust"]["verdict"]
+if cli_vmax != want_vmax or cli_verdict != want_verdict:
+    sys.exit("serve_smoke: CLI says V_max %s, %s; serve says %s, %s"
+             % (cli_vmax, cli_verdict, want_vmax, want_verdict))
+print("CLI and serve agree: V_max %s, %s" % (cli_vmax, cli_verdict))
+EOF
 
 echo "=== leg 2: socket mode, SIGTERM mid-load ==="
 SOCK=$WORK/ssnkit.sock

@@ -1,7 +1,7 @@
 #include "analysis/measure.hpp"
 
+#include "analysis/batch.hpp"
 #include "core/l_only_model.hpp"
-#include "core/lc_model.hpp"
 #include "support/contracts.hpp"
 #include "verify/physics.hpp"
 
@@ -79,20 +79,52 @@ ResilientMeasurement measure_ssn(circuit::SsnBench& bench,
   return out;
 }
 
+SsnEstimate estimate_closed_form(const core::SsnScenario& scenario) {
+  SsnEstimate out;
+  out.scenario = scenario;
+  if (out.lc()) {
+    const core::LcModel model(scenario);
+    out.v_max = model.v_max();
+    out.zeta = model.zeta();
+    out.max_case = model.max_case();
+  } else {
+    out.v_max = core::LOnlyModel(scenario).v_max();
+  }
+  out.trust.verdict = verify::Verdict::kVerified;
+  verify::check_closed_form_peak(scenario, out.v_max, out.trust);
+  return out;
+}
+
+ResilientMeasurement simulate_estimate(const Calibration& cal,
+                                       const process::Package& package,
+                                       double input_rise_time,
+                                       SsnEstimate& estimate,
+                                       const support::RunContext* ctx) {
+  const BatchPoint point =
+      bench_point(cal, package, estimate.scenario.n_drivers, input_rise_time,
+                  estimate.lc(), "estimate");
+  MeasureOptions opts;
+  opts.transient.run_ctx = ctx;
+  ResilientMeasurement m = measure_ssn(point.spec, opts, &estimate.scenario);
+  if (!m.ok()) throw *m.error;  // a stop is never degraded to kAnalytic
+  estimate.trust.merge(m.measurement.trust);
+  verify::cross_check_closed_form(estimate.v_max, m.measurement.v_max,
+                                  estimate.trust);
+  return m;
+}
+
 SsnMeasurement analytic_measurement(const core::SsnScenario& scenario) {
   scenario.validate();
   SsnMeasurement m;
-  if (scenario.capacitance > 0.0) {
-    const core::LcModel model(scenario);
+  const auto fill = [&](const auto& model) {
     m.v_max = model.v_max();
     m.vssi = model.vn_waveform(kAnalyticPoints);
     m.i_l = model.current_waveform(kAnalyticPoints);
-  } else {
-    const core::LOnlyModel model(scenario);
-    m.v_max = model.v_max();
-    m.vssi = model.vn_waveform(kAnalyticPoints);
-    m.i_l = model.current_waveform(kAnalyticPoints);
-  }
+  };
+  if (scenario.capacitance > 0.0)
+    fill(core::LcModel(scenario));
+  else
+    fill(core::LOnlyModel(scenario));
   // v_max comes from the exact Table 1 / Eqn 7 formula; the peak *time* is
   // read off the sampled waveform (good to the sampling resolution).
   m.t_at_max = m.vssi.maximum_in(0.0, scenario.t_ramp_end()).t;

@@ -1,6 +1,8 @@
-// Run the MNA simulator on an SSN testbench and extract the quantities the
-// paper reports: the ground-bounce waveform, the inductor current and the
-// maximum noise during the input ramp.
+// What an SSN estimate is: the paper's closed form for one switching event,
+// self-checked exactly, and that event simulated on the MNA testbench to
+// extract what the paper reports (the ground-bounce waveform, the inductor
+// current, the maximum noise during the input ramp). The CLI and serve
+// `estimate` make the same calls and only render.
 //
 // measure_ssn is the analysis-layer end of the recovery ladder. The engine
 // rungs (sim/recovery.hpp) retry the transient with progressively cheaper
@@ -11,11 +13,14 @@
 // for a full-device one.
 #pragma once
 
+#include "analysis/calibrate.hpp"
 #include "circuit/testbench.hpp"
+#include "core/lc_model.hpp"
 #include "core/scenario.hpp"
 #include "sim/engine.hpp"
 #include "sim/recovery.hpp"
 #include "support/diagnostics.hpp"
+#include "support/runcontext.hpp"
 #include "verify/trust.hpp"
 #include "waveform/waveform.hpp"
 
@@ -78,6 +83,32 @@ ResilientMeasurement measure_ssn(
 ResilientMeasurement measure_ssn(
     circuit::SsnBench& bench, const MeasureOptions& opts = {},
     const core::SsnScenario* analytic_fallback = nullptr);
+
+/// The closed-form answer for one switching event: Table 1 (LcModel) when
+/// the scenario carries a pad capacitance, Eqn 7 (LOnlyModel) otherwise.
+struct SsnEstimate {
+  core::SsnScenario scenario;  ///< also gives beta, S and C_crit
+  double v_max = 0.0;          ///< maximum SSN over the ramp [V]
+  double zeta = 0.0;           ///< LC only, as is max_case
+  core::MaxSsnCase max_case = core::MaxSsnCase::kOverDamped;
+  /// The self-check's verdict (SSN-W073), plus the simulation's if it ran.
+  verify::TrustReport trust;
+
+  bool lc() const { return scenario.capacitance > 0.0; }
+};
+
+/// Evaluate the closed form and self-check it (verify::check_closed_form_peak).
+SsnEstimate estimate_closed_form(const core::SsnScenario& scenario);
+
+/// Simulate `estimate` on its standard bench (bench_point) with measure_ssn,
+/// then fold the engine's trust and the paper's 3 % cross-check (SSN-W074)
+/// into `estimate.trust`. A failed measurement, a stop on `ctx` (may be
+/// null) included, is thrown as its SolverError.
+ResilientMeasurement simulate_estimate(const Calibration& cal,
+                                       const process::Package& package,
+                                       double input_rise_time,
+                                       SsnEstimate& estimate,
+                                       const support::RunContext* ctx);
 
 /// Evaluate the closed-form measurement directly (the analytic rung on its
 /// own).

@@ -123,4 +123,8 @@ SsnSensitivities lc_sensitivities(const core::SsnScenario& scenario,
   return out;
 }
 
+SsnSensitivities closed_form_sensitivities(const core::SsnScenario& s) {
+  return s.capacitance > 0.0 ? lc_sensitivities(s) : l_only_sensitivities(s);
+}
+
 }  // namespace ssnkit::analysis

@@ -39,4 +39,7 @@ SsnSensitivities lc_sensitivities(const core::SsnScenario& scenario,
                                   double rel_step = 1e-4, int threads = 1,
                                   const support::RunContext* run_ctx = nullptr);
 
+/// lc_sensitivities with a pad capacitance, l_only_sensitivities without.
+SsnSensitivities closed_form_sensitivities(const core::SsnScenario& scenario);
+
 }  // namespace ssnkit::analysis

@@ -1,5 +1,6 @@
 #include "analysis/sweeps.hpp"
 
+#include "analysis/design.hpp"
 #include "numeric/stats.hpp"
 #include "support/contracts.hpp"
 
@@ -54,9 +55,7 @@ DriverSweepResult run_driver_sweep(const DriverSweepConfig& config) {
     row.n = points[i].spec.n_drivers;
     row.sim = pt.v_max;
     row.fidelity = pt.fidelity;
-    row.this_work = config.include_package_c
-                        ? core::LcModel(points[i].scenario).v_max()
-                        : core::LOnlyModel(points[i].scenario).v_max();
+    row.this_work = predict_vmax(points[i].scenario);
 
     const core::BaselineInputs base = make_baseline_inputs(
         out.calibration, config.package, row.n, config.input_rise_time);
@@ -71,6 +70,12 @@ DriverSweepResult run_driver_sweep(const DriverSweepConfig& config) {
     out.rows.push_back(row);
   }
   return out;
+}
+
+std::vector<int> driver_ladder(int max_n) {
+  std::vector<int> counts;
+  for (int n = 1; n <= max_n; n += (n < 4 ? 1 : 2)) counts.push_back(n);
+  return counts;
 }
 
 CapacitanceSweepResult run_capacitance_sweep(const CapacitanceSweepConfig& config) {

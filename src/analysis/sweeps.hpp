@@ -58,6 +58,10 @@ struct DriverSweepResult {
 
 DriverSweepResult run_driver_sweep(const DriverSweepConfig& config);
 
+/// The driver counts `sweep-n` visits up to `max_n`: 1, 2, 3, 4, then every
+/// second count (6, 8, ...). Empty when max_n < 1.
+std::vector<int> driver_ladder(int max_n);
+
 // --- Fig. 4: max SSN vs pad capacitance ------------------------------------
 
 struct CapacitanceSweepConfig {

@@ -11,7 +11,6 @@
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "serve/socket.hpp"
-#include "core/l_only_model.hpp"
 #include "core/lc_model.hpp"
 #include "waveform/render.hpp"
 #include "support/atomic_file.hpp"
@@ -22,7 +21,6 @@
 #include "support/faultinject.hpp"
 #include "support/journal.hpp"
 #include "support/runcontext.hpp"
-#include "verify/physics.hpp"
 
 #include <cstdint>
 #include <cstdlib>
@@ -357,68 +355,50 @@ int cmd_estimate(const Args& args, std::ostream& os) {
   const auto pkg = package_from(args);
   const int n = args.get_int("n", 8);
   const double tr = args.get_double("tr", 0.1e-9);
-  const bool with_c = !args.flag("no-c") && pkg.capacitance > 0.0;
-
   const auto cal = analysis::calibrate(tech, golden_from(args));
-  const auto scenario = analysis::make_scenario(cal, pkg, n, tr, with_c);
+  analysis::SsnEstimate est = analysis::estimate_closed_form(
+      analysis::make_scenario(cal, pkg, n, tr, !args.flag("no-c")));
+  const core::SsnScenario& scenario = est.scenario;
 
   io::TextTable t({"quantity", "value"});
   t.add_row({std::string("drivers (N)"), std::to_string(n)});
-  t.add_row({std::string("L / C"), io::si_format(pkg.inductance) + "H / " +
-                                       (with_c ? io::si_format(pkg.capacitance) +
-                                                     "F"
-                                               : std::string("ignored"))});
+  t.add_row({std::string("L / C"),
+             io::si_format(pkg.inductance) + "H / " +
+                 (est.lc() ? io::si_format(pkg.capacitance) + "F"
+                           : std::string("ignored"))});
   t.add_row({std::string("slope S"), io::si_format(scenario.slope) + "V/s"});
   t.add_row({std::string("beta = N*L*S"), io::si_format(scenario.beta(), 4)});
-  if (with_c) {
-    const core::LcModel model(scenario);
-    t.add_row({std::string("zeta"), io::si_format(model.zeta(), 4)});
+  if (est.lc()) {
+    t.add_row({std::string("zeta"), io::si_format(est.zeta, 4)});
     t.add_row({std::string("C_crit"),
                io::si_format(scenario.critical_capacitance()) + "F"});
-    t.add_row({std::string("Table 1 case"), core::to_string(model.max_case())});
+    t.add_row({std::string("Table 1 case"), core::to_string(est.max_case)});
     t.add_row({std::string("max SSN (LC model)"),
-               io::si_format(model.v_max(), 5) + "V"});
+               io::si_format(est.v_max, 5) + "V"});
     if (args.flag("extended")) {
-      const auto ext = model.v_max_extended();
+      const auto ext = core::LcModel(scenario).v_max_extended();
       t.add_row({std::string("max SSN incl. post-ramp"),
                  io::si_format(ext.v, 5) + "V" +
                      (ext.after_ramp ? " (peak after t_r)" : "")});
     }
   } else {
-    const core::LOnlyModel model(scenario);
     t.add_row({std::string("max SSN (Eqn 7)"),
-               io::si_format(model.v_max(), 5) + "V"});
+               io::si_format(est.v_max, 5) + "V"});
   }
-  const auto sens = with_c ? analysis::lc_sensitivities(scenario)
-                           : analysis::l_only_sensitivities(scenario);
+  const auto sens = analysis::closed_form_sensitivities(scenario);
   t.add_row({std::string("elasticity wrt L / S"),
              io::si_format(sens.wrt_inductance, 3) + " / " +
                  io::si_format(sens.wrt_slope, 3)});
   os << t.to_string();
 
   if (args.flag("verify")) {
-    circuit::SsnBenchSpec spec;
-    spec.tech = tech;
-    spec.package = pkg;
-    spec.golden = cal.golden;
-    spec.n_drivers = n;
-    spec.input_rise_time = tr;
-    spec.include_package_c = with_c;
-    // The serve estimate's call: the recovery ladder, the physics
-    // invariants and the analytic rung. Then the paper's 3 %
-    // closed-form-vs-simulator bar, folded into the trust report.
-    auto rm = analysis::measure_ssn(spec, {}, &scenario);
-    if (!rm.ok()) throw *rm.error;
-    analysis::SsnMeasurement& m = rm.measurement;
-    const double v_model = with_c ? core::LcModel(scenario).v_max()
-                                  : core::LOnlyModel(scenario).v_max();
-    verify::cross_check_closed_form(v_model, m.v_max, m.trust);
-    os << "simulated max SSN: " << io::si_format(m.v_max, 5) << "V ("
-       << m.stats.accepted_steps << " steps)\n";
+    const auto rm = analysis::simulate_estimate(cal, pkg, tr, est, nullptr);
+    os << "simulated max SSN: " << io::si_format(rm.measurement.v_max, 5)
+       << "V (" << rm.measurement.stats.accepted_steps << " steps)\n";
     if (rm.degraded())
       os << "fidelity: " << sim::to_string(rm.fidelity) << "\n";
-    os << "trust: " << m.trust.summary() << "\n";
   }
+  os << "trust: " << est.trust.summary() << "\n";
   warn_unused(args, os);
   return 0;
 }
@@ -431,9 +411,7 @@ int cmd_sweep_n(const Args& args, std::ostream& os) {
   config.input_rise_time = args.get_double("tr", 0.1e-9);
   config.include_package_c = !args.flag("no-c");
   const int max_n = args.get_int("max-n", 16);
-  config.driver_counts.clear();
-  for (int n = 1; n <= max_n; n += (n < 4 ? 1 : 2))
-    config.driver_counts.push_back(n);
+  config.driver_counts = analysis::driver_ladder(max_n);
   const std::size_t total = config.driver_counts.size();
   BatchSetup setup(
       args, "sweep-n",
@@ -690,6 +668,20 @@ int cmd_simulate(const Args& args, std::ostream& os) {
     throw *run.error;
   const auto& result = run.result;
 
+  // Every signal as time,<signals> rows: the default stdout CSV and --out.
+  std::string header = "time";
+  for (const auto& name : result.signal_names()) header += ',' + name;
+  const auto write_rows = [&](std::ostream& s) {
+    std::vector<waveform::Waveform> waves;
+    for (const auto& name : result.signal_names())
+      waves.push_back(result.waveform(name));
+    for (std::size_t i = 0; i < result.point_count(); ++i) {
+      s << result.times()[i];
+      for (const auto& w : waves) s << ',' << w.value(i);
+      s << '\n';
+    }
+  };
+
   const std::string probe = args.get_or("probe", "");
   if (!probe.empty() && result.point_count() == 0) {
     // A run stopped before the first accepted step has nothing to chart.
@@ -705,33 +697,14 @@ int cmd_simulate(const Args& args, std::ostream& os) {
     os << probe << ": min " << wave.minimum().value << ", max "
        << wave.maximum().value << "\n";
   } else {
-    // CSV of everything.
-    os << "time";
-    for (const auto& name : result.signal_names()) os << ',' << name;
-    os << '\n';
-    std::vector<waveform::Waveform> waves;
-    for (const auto& name : result.signal_names())
-      waves.push_back(result.waveform(name));
-    for (std::size_t i = 0; i < result.point_count(); ++i) {
-      os << result.times()[i];
-      for (const auto& w : waves) os << ',' << w.value(i);
-      os << '\n';
-    }
+    os << header << '\n';
+    write_rows(os);
   }
 
   const std::string out_path = args.get_or("out", "");
   if (!out_path.empty()) {
-    std::string header = "time";
-    for (const auto& name : result.signal_names()) header += ',' + name;
     ArtifactCsv csv(header);
-    std::vector<waveform::Waveform> waves;
-    for (const auto& name : result.signal_names())
-      waves.push_back(result.waveform(name));
-    for (std::size_t i = 0; i < result.point_count(); ++i) {
-      csv.row() << result.times()[i];
-      for (const auto& w : waves) csv.row() << ',' << w.value(i);
-      csv.row() << '\n';
-    }
+    write_rows(csv.row());
     csv.write(out_path);
   }
   warn_unused(args, os);

@@ -3,15 +3,10 @@
 #include "analysis/montecarlo.hpp"
 #include "analysis/measure.hpp"
 #include "analysis/sweeps.hpp"
-#include "core/l_only_model.hpp"
-#include "core/lc_model.hpp"
 #include "sim/recovery.hpp"
-#include "verify/physics.hpp"
 #include "verify/trust.hpp"
 
-#include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <string>
 
 namespace ssnkit::serve {
@@ -48,25 +43,6 @@ process::Package package_for(const ServeRequest& req) {
   return pkg;
 }
 
-/// Closed-form self-check: the Table 1 / Eqn 7 peak formula and a sampled
-/// waveform of the same model must agree on the maximum. A disagreement
-/// means the damping case was mis-selected (or a formula was evaluated
-/// outside its validity region); it downgrades trust instead of serving a
-/// confidently wrong number. The 5 % bar leaves room for the sampling
-/// resolution of the waveform's peak.
-void check_formula_vs_waveform(double v_model, const waveform::Waveform& vn,
-                               double t_end, verify::TrustReport& trust) {
-  const double sampled = vn.maximum_in(0.0, t_end).value;
-  const double scale = std::max(std::abs(v_model), std::abs(sampled));
-  if (!(scale > 0.0)) return;
-  if (!(std::abs(v_model - sampled) <= 0.05 * scale)) {
-    trust.downgrade(verify::Verdict::kDegraded);
-    trust.note(
-        "SSN-W073: closed-form v_max disagrees with its own sampled "
-        "waveform maximum (mis-selected damping case?)");
-  }
-}
-
 /// Throw the stop that drained a batch as a typed SolverError, so the
 /// server's one catch site maps every cooperative stop onto SSN-E066.
 void throw_stop(support::StopReason stop) {
@@ -80,63 +56,30 @@ std::string handle_estimate(const ServeRequest& req,
                             const analysis::Calibration& cal,
                             const process::Package& pkg,
                             const support::RunContext* ctx) {
-  const bool with_c = req.include_c && pkg.capacitance > 0.0;
-  const auto scenario = analysis::make_scenario(cal, pkg, req.n_drivers,
-                                                req.rise_time, with_c);
-  // Every result fragment carries its trust verdict. The closed form starts
-  // verified-by-self-check; a simulator verify merges the engine's report
-  // and the model-vs-simulator cross-check on top.
-  verify::TrustReport trust;
-  trust.verdict = verify::Verdict::kVerified;
-  double v_model = 0.0;
+  analysis::SsnEstimate est =
+      analysis::estimate_closed_form(analysis::make_scenario(
+          cal, pkg, req.n_drivers, req.rise_time, req.include_c));
   std::string out = "{";
   out += "\"n\":" + std::to_string(req.n_drivers);
   out += ",\"l\":" + json_number(pkg.inductance);
-  out += ",\"c\":" + json_number(with_c ? pkg.capacitance : 0.0);
-  out += ",\"slope\":" + json_number(scenario.slope);
-  out += ",\"beta\":" + json_number(scenario.beta());
-  if (with_c) {
-    const core::LcModel model(scenario);
-    v_model = model.v_max();
-    out += ",\"model\":\"lc\"";
-    out += ",\"v_max\":" + json_number(v_model);
-    out += ",\"zeta\":" + json_number(model.zeta());
-    out += ",\"case\":\"" +
-           json_escape(core::to_string(model.max_case())) + "\"";
-    out += ",\"c_crit\":" + json_number(scenario.critical_capacitance());
-    check_formula_vs_waveform(v_model, model.vn_waveform(1024),
-                              scenario.t_ramp_end(), trust);
-  } else {
-    const core::LOnlyModel model(scenario);
-    v_model = model.v_max();
-    out += ",\"model\":\"l-only\"";
-    out += ",\"v_max\":" + json_number(v_model);
-    check_formula_vs_waveform(v_model, model.vn_waveform(1024),
-                              scenario.t_ramp_end(), trust);
+  out += ",\"c\":" + json_number(est.scenario.capacitance);
+  out += ",\"slope\":" + json_number(est.scenario.slope);
+  out += ",\"beta\":" + json_number(est.scenario.beta());
+  out += est.lc() ? ",\"model\":\"lc\"" : ",\"model\":\"l-only\"";
+  out += ",\"v_max\":" + json_number(est.v_max);
+  if (est.lc()) {
+    out += ",\"zeta\":" + json_number(est.zeta);
+    out += ",\"case\":\"" + json_escape(core::to_string(est.max_case)) + "\"";
+    out += ",\"c_crit\":" + json_number(est.scenario.critical_capacitance());
   }
   if (req.sim) {
-    circuit::SsnBenchSpec spec;
-    spec.tech = cal.tech;
-    spec.package = pkg;
-    spec.golden = cal.golden;
-    spec.n_drivers = req.n_drivers;
-    spec.input_rise_time = req.rise_time;
-    spec.include_package_c = with_c;
-    analysis::MeasureOptions opts;
-    opts.transient.run_ctx = ctx;
-    const auto m = analysis::measure_ssn(spec, opts, &scenario);
-    // A failed measurement, a cancelled/deadlined one included (measure_ssn
-    // never degrades a stop to the analytic rung), surfaces as its error.
-    if (!m.ok()) throw *m.error;
-    // The engine's solve/physics verdict, then the paper's 3 % bar between
-    // the closed form and the simulator (SSN-W074 on disagreement).
-    trust.merge(m.measurement.trust);
-    verify::cross_check_closed_form(v_model, m.measurement.v_max, trust);
+    const auto m =
+        analysis::simulate_estimate(cal, pkg, req.rise_time, est, ctx);
     out += ",\"v_max_sim\":" + json_number(m.measurement.v_max);
     out += ",\"fidelity\":\"" +
            json_escape(sim::to_string(m.fidelity)) + "\"";
   }
-  out += ",\"trust\":" + render_trust(trust);
+  out += ",\"trust\":" + render_trust(est.trust);
   out += "}";
   return out;
 }
@@ -145,9 +88,8 @@ std::string handle_mc(const ServeRequest& req,
                       const analysis::Calibration& cal,
                       const process::Package& pkg,
                       const support::RunContext* ctx) {
-  const bool with_c = req.include_c && pkg.capacitance > 0.0;
   const auto scenario = analysis::make_scenario(cal, pkg, req.n_drivers,
-                                                req.rise_time, with_c);
+                                                req.rise_time, req.include_c);
   analysis::MonteCarloOptions opts;
   opts.samples = req.samples;
   opts.seed = unsigned(req.seed);
@@ -182,10 +124,8 @@ std::string handle_sweep_n(const ServeRequest& req,
   config.package = pkg;
   config.golden = cal.golden;
   config.input_rise_time = req.rise_time;
-  config.include_package_c = req.include_c && pkg.capacitance > 0.0;
-  config.driver_counts.clear();
-  for (int n = 1; n <= req.max_n; n += (n < 4 ? 1 : 2))
-    config.driver_counts.push_back(n);
+  config.include_package_c = req.include_c;
+  config.driver_counts = analysis::driver_ladder(req.max_n);
   config.batch.threads = 1;  // see handle_mc
   config.batch.run_ctx = ctx;
   const auto result = analysis::run_driver_sweep(config);

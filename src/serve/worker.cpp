@@ -28,22 +28,15 @@ namespace {
 /// worker-oom: a bounded allocation burst (touching every page so the
 /// memory is really committed). Under the worker's RLIMIT_AS cap the burst
 /// throws bad_alloc well before its bound; the throw happens outside any
-/// handler in this translation unit, so it escapes worker_main, hits
-/// std::terminate, and kills the process with SIGABRT — an OOM death the
-/// supervisor observes via waitpid, exactly like a real one. Without an
-/// address-space cap the burst completes, frees, and the request proceeds.
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-#define SSNKIT_SANITIZER_BUILD 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-#define SSNKIT_SANITIZER_BUILD 1
-#endif
-#endif
-
+/// handler in this translation unit, so it escapes worker_main into
+/// spawn_child's noexcept trampoline, hits std::terminate, and kills the
+/// process with SIGABRT — an OOM death the supervisor observes via
+/// waitpid, exactly like a real one. Without an address-space cap the
+/// burst completes, frees, and the request proceeds.
 void allocation_burst() {
 #if defined(SSNKIT_SANITIZER_BUILD)
   // Sanitizer builds run without RLIMIT_AS (the shadow mappings exceed any
-  // cap — see subprocess.cpp), so committing the burst for real would eat
+  // cap — see subprocess.hpp), so committing the burst for real would eat
   // host memory instead of tripping a limit. Simulate the allocation
   // failure at the same point in the code path.
   throw std::bad_alloc();

@@ -11,19 +11,6 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-// Sanitizer runtimes (ASan/TSan shadow, allocator metadata) mmap regions
-// far beyond any sane RLIMIT_AS cap, so installing one under a sanitizer
-// build kills every worker at its first allocation ("Failed to mmap").
-// The cap is a production containment knob; sanitizer presets exercise
-// everything else about the supervisor and skip only this limit.
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-#define SSNKIT_SANITIZER_BUILD 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-#define SSNKIT_SANITIZER_BUILD 1
-#endif
-#endif
-
 namespace ssnkit::support {
 
 namespace {
@@ -68,6 +55,14 @@ void configure_child(const ChildLimits& limits) {
   }
 }
 
+// noexcept: an exception escaping child_main aborts the child instead of
+// unwinding its copy of the caller's stack. _exit, not exit: the child must
+// not flush the parent's inherited stdio buffers or run atexit handlers.
+[[noreturn]] void run_child(const std::function<int(int fd)>& child_main,
+                            int fd) noexcept {
+  ::_exit(child_main(fd));
+}
+
 }  // namespace
 
 bool spawn_child(const std::function<int(int fd)>& child_main,
@@ -88,10 +83,7 @@ bool spawn_child(const std::function<int(int fd)>& child_main,
   if (pid == 0) {
     ::close(fds[0]);
     configure_child(limits);
-    const int rc = child_main(fds[1]);
-    // _exit, not exit: the child must not flush the parent's inherited
-    // stdio buffers or run its atexit handlers.
-    ::_exit(rc);
+    run_child(child_main, fds[1]);
   }
   ::close(fds[1]);
   out.pid = static_cast<long>(pid);

@@ -29,6 +29,17 @@
 #include <functional>
 #include <string>
 
+// Sanitizer runtimes (ASan/TSan shadow, allocator metadata) mmap far beyond
+// any sane RLIMIT_AS cap ("Failed to mmap" at a worker's first allocation),
+// so under SSNKIT_SANITIZER_BUILD spawn_child skips ChildLimits::mem_limit_mb.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define SSNKIT_SANITIZER_BUILD 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define SSNKIT_SANITIZER_BUILD 1
+#endif
+#endif
+
 namespace ssnkit::support {
 
 /// One spawned child: its pid and the parent's end of the socketpair.
@@ -52,7 +63,8 @@ struct ChildLimits {
 /// applies `limits`, resets signal dispositions, closes the parent's end,
 /// runs `child_main(child_fd)`, and _exits with its return value (core
 /// dumps disabled via RLIMIT_CORE=0 — a supervised crash is expected, not
-/// evidence to keep). Returns false with `err` set when socketpair or fork
+/// evidence to keep). An exception escaping `child_main` kills the child
+/// with SIGABRT. Returns false with `err` set when socketpair or fork
 /// fail; the child side never returns.
 bool spawn_child(const std::function<int(int fd)>& child_main,
                  const ChildLimits& limits, ChildProcess& out,

@@ -1,5 +1,6 @@
 #include "verify/physics.hpp"
 
+#include "core/l_only_model.hpp"
 #include "core/lc_model.hpp"
 
 #include <algorithm>
@@ -161,6 +162,31 @@ bool cross_check_closed_form(double v_closed_form, double v_simulated,
     return false;
   }
   return true;
+}
+
+double closed_form_ramp_maximum(const core::SsnScenario& scenario) {
+  const double t_r = scenario.t_ramp_end();
+  if (!(scenario.capacitance > 0.0)) return core::LOnlyModel(scenario).vn(t_r);
+  const core::LcModel model(scenario);
+  const double at_ramp_end = model.vn(t_r);
+  if (model.region() != core::DampingRegion::kUnderDamped ||
+      model.t_first_peak() > t_r)
+    return at_ramp_end;
+  return std::max(at_ramp_end, model.vn(model.t_first_peak()));
+}
+
+bool check_closed_form_peak(const core::SsnScenario& scenario,
+                            double v_formula, TrustReport& trust) {
+  const double exact = closed_form_ramp_maximum(scenario);
+  const double scale = std::max(std::fabs(exact), std::fabs(v_formula));
+  if (std::fabs(v_formula - exact) <= kVmaxRelTol * scale) return true;
+  trust.downgrade(Verdict::kDegraded);
+  trust.note(format_note(
+      "SSN-W073",
+      "closed-form v_max %.6e V disagrees with the exact ramp maximum "
+      "%.6e V (mis-selected damping case?)",
+      v_formula, exact));
+  return false;
 }
 
 void apply(const PhysicsFindings& findings, TrustReport& trust) {

@@ -17,6 +17,8 @@
 //   3. Closed-form cross-check: the paper claims Eqn 7/13 track the
 //      simulator within ~3 %; on cross-checkable configurations a larger
 //      gap downgrades trust (SSN-W074) rather than crashing.
+//   4. Closed-form self-check: the Table 1 / Eqn 7 maximum must be the
+//      exact ramp maximum of the same model (SSN-W073: wrong damping case).
 //
 // Violations downgrade the TrustReport to degraded with an SSN-W073/W074
 // note; they never throw — a suspect estimate still beats no estimate.
@@ -57,6 +59,18 @@ PhysicsFindings check_ground_path(const core::SsnScenario& scenario,
 /// 3 % bar. Returns true when within the bar.
 bool cross_check_closed_form(double v_closed_form, double v_simulated,
                              TrustReport& trust);
+
+/// The exact maximum of the scenario's closed-form V_n over the ramp. V_n
+/// rises up to its first stationary point and an under-damped model's later
+/// peaks stay below its first (Section 4), so this is V_n(t_r), or the first
+/// peak t_on + pi/omega_d when that lies inside the ramp and is higher.
+double closed_form_ramp_maximum(const core::SsnScenario& scenario);
+
+/// Invariant 4: `v_formula` against closed_form_ramp_maximum. Appends an
+/// SSN-W073 note and downgrades `trust` when they differ beyond the v_max
+/// tolerance. Returns true when they agree.
+bool check_closed_form_peak(const core::SsnScenario& scenario,
+                            double v_formula, TrustReport& trust);
 
 /// Fold findings into a trust report: ok -> no change; a violated
 /// invariant downgrades to degraded and attaches the SSN-W073 notes.

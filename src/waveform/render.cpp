@@ -1,8 +1,5 @@
 #include "waveform/render.hpp"
 
-#include "support/atomic_file.hpp"
-
-#include <ostream>
 #include <stdexcept>
 #include <utility>
 
@@ -41,29 +38,6 @@ std::string ascii_chart(const std::vector<const Waveform*>& series,
 
 std::string ascii_chart(const Waveform& wave, const io::ChartOptions& opts) {
   return ascii_chart({&wave}, {opts.y_label}, opts);
-}
-
-void write_waveforms_csv(std::ostream& os, const std::vector<std::string>& names,
-                         const std::vector<const Waveform*>& waves) {
-  if (names.size() != waves.size())
-    throw std::invalid_argument("write_waveforms_csv: names/waves mismatch");
-  if (waves.empty() || waves[0] == nullptr || waves[0]->empty())
-    throw std::invalid_argument(
-        "write_waveforms_csv: need a non-empty lead waveform");
-  os << "time";
-  for (const auto& n : names) os << ',' << n;
-  os << '\n';
-  os.precision(12);
-  for (std::size_t i = 0; i < waves[0]->size(); ++i) {
-    const double t = waves[0]->time(i);
-    os << t;
-    for (const auto* w : waves) os << ',' << w->sample(t);
-    os << '\n';
-  }
-  if (!os)
-    throw support::IoError(support::IoError::Kind::kWriteFailed, "<stream>",
-                           "stream entered a failed state while writing "
-                           "waveforms");
 }
 
 }  // namespace ssnkit::waveform

@@ -1,5 +1,5 @@
-// Waveform presentation adapters: terminal charts and CSV dumps of sampled
-// waveforms. These sit in the waveform layer on purpose —
+// Waveform presentation adapters: terminal charts of sampled waveforms.
+// These sit in the waveform layer on purpose —
 // the generic renderers in io know nothing about Waveform (io is below
 // waveform in the include DAG, SSN-L010); this header adapts Waveforms onto
 // io's point-series primitives.
@@ -8,7 +8,6 @@
 #include "io/ascii_chart.hpp"
 #include "waveform/waveform.hpp"
 
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -23,11 +22,5 @@ std::string ascii_chart(const std::vector<const Waveform*>& series,
 
 /// Convenience overload for a single waveform.
 std::string ascii_chart(const Waveform& wave, const io::ChartOptions& opts = {});
-
-/// Dump one or more waveforms (sampled at the first waveform's times) as
-/// time,name1,name2,... CSV.
-void write_waveforms_csv(std::ostream& os,
-                         const std::vector<std::string>& names,
-                         const std::vector<const Waveform*>& waves);
 
 }  // namespace ssnkit::waveform

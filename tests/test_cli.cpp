@@ -2,6 +2,10 @@
 #include "circuit/testbench.hpp"
 #include "cli/args.hpp"
 #include "cli/commands.hpp"
+#include "io/table.hpp"
+#include "serve/handlers.hpp"
+#include "serve/json.hpp"
+#include "serve/protocol.hpp"
 #include "support/atomic_file.hpp"
 #include "support/journal.hpp"
 
@@ -94,6 +98,53 @@ TEST(Cli, EstimateVerifyRunsSimulator) {
   std::string out, err;
   ASSERT_EQ(run({"estimate", "--n", "4", "--verify"}, out, err), 0) << err;
   EXPECT_NE(out.find("simulated max SSN"), std::string::npos);
+}
+
+// The CLI and serve make the same estimate calls: the CLI's printed V_max
+// is serve's value at the CLI's 5 digits, and both carry one verdict.
+TEST(Cli, EstimateAgreesWithServe) {
+  struct Case {
+    std::vector<std::string> argv;
+    std::string request;
+    std::string vmax_row;  ///< the CLI's label for V_max
+  };
+  const std::vector<Case> cases = {
+      {{"estimate", "--n", "8", "--tr", "0.1n"},
+       R"({"cmd":"estimate","n":8,"tr":1e-10})",
+       "max SSN (LC model)"},
+      {{"estimate", "--n", "8", "--tr", "0.1n", "--no-c"},
+       R"({"cmd":"estimate","n":8,"tr":1e-10,"include_c":false})",
+       "max SSN (Eqn 7)"},
+      {{"estimate", "--n", "4", "--tr", "0.1n", "--verify"},
+       R"({"cmd":"estimate","n":4,"tr":1e-10,"sim":true})",
+       "max SSN (LC model)"},
+  };
+  ssnkit::serve::CalibrationCache calibrations;
+  for (const Case& c : cases) {
+    std::string out, err;
+    ASSERT_EQ(run(c.argv, out, err), 0) << err;
+    const auto parsed = ssnkit::serve::parse_request(c.request);
+    ASSERT_TRUE(parsed.ok) << parsed.error;
+    const auto json = ssnkit::serve::parse_json(ssnkit::serve::execute_request(
+        parsed.request, calibrations, nullptr));
+    ASSERT_TRUE(json.ok) << json.error;
+    const double v_max = json.value.find("v_max")->number;
+    const std::string verdict =
+        json.value.find("trust")->find("verdict")->string;
+
+    std::string row, trust;
+    std::istringstream lines(out);
+    for (std::string line; std::getline(lines, line);) {
+      if (line.find(c.vmax_row) != std::string::npos) row = line;
+      if (line.rfind("trust: ", 0) == 0) trust = line;
+    }
+    EXPECT_NE(row.find("| " + ssnkit::io::si_format(v_max, 5) + "V "),
+              std::string::npos)
+        << row;
+    ASSERT_EQ(trust.rfind("trust: ", 0), 0u) << out;
+    EXPECT_EQ(trust.substr(7, trust.find_first_of(" ;", 7) - 7), verdict)
+        << trust;
+  }
 }
 
 TEST(Cli, SweepNEmitsCsv) {

@@ -13,7 +13,6 @@ namespace {
 using namespace ssnkit::io;
 using ssnkit::waveform::Waveform;
 using ssnkit::waveform::ascii_chart;
-using ssnkit::waveform::write_waveforms_csv;
 
 TEST(Csv, HeaderAndRows) {
   CsvWriter csv({"n", "vmax"});
@@ -31,15 +30,6 @@ TEST(Csv, WidthValidation) {
   CsvWriter csv({"a", "b"});
   EXPECT_THROW(csv.add_row({1.0}), std::invalid_argument);
   EXPECT_THROW(CsvWriter({}), std::invalid_argument);
-}
-
-TEST(Csv, WaveformDump) {
-  const Waveform w({0.0, 1.0}, {0.5, 1.5});
-  std::ostringstream os;
-  write_waveforms_csv(os, {"v"}, {&w});
-  EXPECT_NE(os.str().find("time,v"), std::string::npos);
-  EXPECT_NE(os.str().find("0,0.5"), std::string::npos);
-  EXPECT_THROW(write_waveforms_csv(os, {"a", "b"}, {&w}), std::invalid_argument);
 }
 
 TEST(Table, AlignedOutput) {

@@ -1,22 +1,27 @@
 // Large parameterized property sweeps:
 //  * the LC closed form against RK45 over a (N, C/C_crit, slope) grid,
 //  * Table 1 case selection consistency over the same grid,
+//  * the closed-form self-check's exact ramp maximum against dense sampling,
 //  * AC steady state against transient sine response (cross-engine check).
 #include "core/l_only_model.hpp"
 #include "core/lc_model.hpp"
 #include "reference/ode.hpp"
 #include "sim/ac.hpp"
 #include "sim/engine.hpp"
+#include "verify/physics.hpp"
 
 #include "full_device.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
 
 namespace {
 
 using ssnkit::core::LcModel;
+using ssnkit::core::LOnlyModel;
 using ssnkit::core::MaxSsnCase;
 using ssnkit::core::SsnScenario;
 using ssnkit::numeric::rk45;
@@ -82,6 +87,52 @@ TEST_P(LcGrid, CaseSelectionConsistent) {
       EXPECT_GT(M_PI / m.omega_d(), s.active_ramp());
       EXPECT_NEAR(m.v_max(), m.vn(s.t_ramp_end()), 1e-12);
       break;
+  }
+}
+
+// The exact ramp maximum behind the closed-form self-check against a dense
+// sampling of the same waveform: never below it by more than rounding,
+// above it by no more than a 1e5-point grid can miss near an interior peak.
+constexpr int kDenseSamples = 100000;
+
+double dense_ramp_maximum(const std::function<double(double)>& vn,
+                          double t_r) {
+  double best = vn(0.0);
+  for (int k = 1; k <= kDenseSamples; ++k)
+    best = std::max(best, vn(t_r * double(k) / kDenseSamples));
+  return best;
+}
+
+TEST_P(LcGrid, ExactRampMaximumBoundsDenseSampling) {
+  const auto [n, c_mult, slope_mult] = GetParam();
+  const SsnScenario s = scenario_for(n, c_mult, slope_mult);
+  const LcModel m(s);
+  const double exact = ssnkit::verify::closed_form_ramp_maximum(s);
+  const double sampled =
+      dense_ramp_maximum([&](double t) { return m.vn(t); }, s.t_ramp_end());
+  EXPECT_GE(exact, sampled * (1.0 - 1e-12));
+  EXPECT_LE(exact, sampled * (1.0 + 1e-6));
+  // And the Table 1 formula is that maximum: the self-check passes.
+  ssnkit::verify::TrustReport trust;
+  trust.verdict = ssnkit::verify::Verdict::kVerified;
+  EXPECT_TRUE(ssnkit::verify::check_closed_form_peak(s, m.v_max(), trust))
+      << trust.summary();
+  EXPECT_NEAR(m.v_max(), exact, 1e-12 * exact);
+}
+
+TEST(LOnlyRamp, ExactRampMaximumBoundsDenseSampling) {
+  for (const int n : {1, 2, 4, 8, 16, 64}) {
+    for (const double slope_mult : {0.25, 1.0, 4.0}) {
+      SsnScenario s = scenario_for(n, 1.0, slope_mult);
+      s.capacitance = 0.0;
+      const LOnlyModel m(s);
+      const double exact = ssnkit::verify::closed_form_ramp_maximum(s);
+      const double sampled = dense_ramp_maximum(
+          [&](double t) { return m.vn(t); }, s.t_ramp_end());
+      EXPECT_GE(exact, sampled * (1.0 - 1e-12)) << "N=" << n;
+      EXPECT_LE(exact, sampled * (1.0 + 1e-6)) << "N=" << n;
+      EXPECT_NEAR(m.v_max(), exact, 1e-12 * exact) << "N=" << n;
+    }
   }
 }
 

@@ -12,8 +12,11 @@
 #include "support/faultinject.hpp"
 
 #if !defined(_WIN32)
+#include "support/subprocess.hpp"
+
 #include <csignal>
 #include <sys/types.h>
+#include <unistd.h>
 #endif
 
 #include <gtest/gtest.h>
@@ -24,6 +27,7 @@
 #include <fstream>
 #include <mutex>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -208,6 +212,30 @@ TEST(SupervisorJitter, DeterministicAndSpreadOverHalfToThreeHalves) {
 }
 
 #if !defined(_WIN32)
+
+// --- the spawn primitive -----------------------------------------------------
+
+TEST(Subprocess, ThrowingChildMainDiesBySigabrt) {
+  // The try block stands for the caller frames a forked child inherits (for
+  // serve's initial workers, run_cli's catch). An exception escaping
+  // child_main must end the child, not unwind into that catch, which would
+  // make the child exit 42.
+  support::ChildProcess child;
+  std::string err;
+  try {
+    ASSERT_TRUE(support::spawn_child(
+        [](int) -> int { throw std::runtime_error("child_main failed"); }, {},
+        child, err))
+        << err;
+  } catch (const std::runtime_error&) {
+    ::_exit(42);
+  }
+  support::ExitStatus status;
+  support::wait_child(child.pid, status);
+  ::close(child.fd);
+  EXPECT_FALSE(status.exited) << support::describe_exit(status);
+  EXPECT_EQ(status.sig, SIGABRT) << support::describe_exit(status);
+}
 
 // --- live process isolation --------------------------------------------------
 

@@ -8,6 +8,7 @@
 #include "analysis/measure.hpp"
 #include "analysis/montecarlo.hpp"
 #include "circuit/testbench.hpp"
+#include "core/lc_model.hpp"
 #include "numeric/sparse.hpp"
 #include "support/journal.hpp"
 #include "support/runcontext.hpp"
@@ -279,6 +280,55 @@ TEST(PhysicsInvariants, ClosedFormCrossCheckEnforcesThePapersBar) {
   for (const std::string& n : bad.notes)
     if (n.find("SSN-W074") != std::string::npos) noted = true;
   EXPECT_TRUE(noted);
+}
+
+TEST(PhysicsInvariants, ClosedFormSelfCheckCatchesAWrongDampingCase) {
+  core::SsnScenario s;
+  s.n_drivers = 2;
+  s.inductance = 1e-9;
+  s.capacitance = 5e-12;
+  s.slope = 3.6e9;
+  s.vdd = 1.8;
+  s.device = {.k = 5.3e-3, .lambda = 1.17, .vx = 0.56};
+  const core::LcModel model(s);
+  ASSERT_EQ(model.max_case(), core::MaxSsnCase::kUnderDampedFirstPeak);
+
+  // Case 3a's right value, the first peak, stays verified.
+  TrustReport right;
+  right.verdict = Verdict::kVerified;
+  EXPECT_TRUE(verify::check_closed_form_peak(s, model.v_max(), right));
+  EXPECT_EQ(right.verdict, Verdict::kVerified) << right.summary();
+  EXPECT_TRUE(right.notes.empty());
+
+  // The boundary value V_n(t_r) a case-3b selection would report is caught.
+  TrustReport wrong;
+  wrong.verdict = Verdict::kVerified;
+  EXPECT_FALSE(
+      verify::check_closed_form_peak(s, model.vn(s.t_ramp_end()), wrong));
+  EXPECT_EQ(wrong.verdict, Verdict::kDegraded);
+  ASSERT_EQ(wrong.notes.size(), 1u);
+  EXPECT_NE(wrong.notes[0].find("SSN-W073"), std::string::npos);
+}
+
+TEST(PhysicsInvariants, ClosedFormEstimateCarriesTheSelfCheck) {
+  const core::SsnScenario lc =
+      analysis::make_scenario(cal(), process::package_pga(), 8, 0.1e-9, true);
+  const analysis::SsnEstimate with_c = analysis::estimate_closed_form(lc);
+  EXPECT_TRUE(with_c.lc());
+  EXPECT_EQ(with_c.v_max, core::LcModel(lc).v_max());
+  EXPECT_EQ(with_c.zeta, core::LcModel(lc).zeta());
+  EXPECT_EQ(with_c.max_case, core::LcModel(lc).max_case());
+  EXPECT_EQ(with_c.trust.verdict, Verdict::kVerified)
+      << with_c.trust.summary();
+
+  core::SsnScenario l_only = lc;
+  l_only.capacitance = 0.0;
+  const analysis::SsnEstimate without_c =
+      analysis::estimate_closed_form(l_only);
+  EXPECT_FALSE(without_c.lc());
+  EXPECT_EQ(without_c.v_max, analysis::predict_vmax(l_only));
+  EXPECT_EQ(without_c.trust.verdict, Verdict::kVerified)
+      << without_c.trust.summary();
 }
 
 // --- Monte Carlo trust statistics -------------------------------------------
