@@ -15,6 +15,7 @@
 #include "circuit/testbench.hpp"
 #include "devices/fit.hpp"
 #include "numeric/lu.hpp"
+#include "numeric/normal_stream.hpp"
 #include "numeric/sparse.hpp"
 #include "sim/engine.hpp"
 
@@ -314,10 +315,36 @@ void BM_McClosedForm(benchmark::State& state) {
     benchmark::DoNotOptimize(analysis::monte_carlo_vmax(s, opts));
 }
 BENCHMARK(BM_McClosedForm)
+    ->Args({2000, 1})  // the serve request's shape: 2000 samples, 1 thread
     ->Args({20000, 1})
     ->Args({20000, 2})
     ->Args({20000, 4})
     ->Unit(benchmark::kMillisecond);
+
+// The 12,000 normals of a 2000-sample LC Monte Carlo (6 factors a sample),
+// from numeric::NormalStream and from the std:: pair it reproduces.
+constexpr int kMcNormals = 12000;
+
+void BM_NormalStream(benchmark::State& state) {
+  for (auto _ : state) {
+    numeric::NormalStream gauss(12345);
+    double sum = 0.0;
+    for (int i = 0; i < kMcNormals; ++i) sum += gauss.next();
+    benchmark::DoNotOptimize(sum);
+  }
+}
+BENCHMARK(BM_NormalStream)->Unit(benchmark::kMicrosecond);
+
+void BM_NormalStdBaseline(benchmark::State& state) {
+  for (auto _ : state) {
+    std::mt19937 rng(12345);
+    std::normal_distribution<double> gauss(0.0, 1.0);
+    double sum = 0.0;
+    for (int i = 0; i < kMcNormals; ++i) sum += gauss(rng);
+    benchmark::DoNotOptimize(sum);
+  }
+}
+BENCHMARK(BM_NormalStdBaseline)->Unit(benchmark::kMicrosecond);
 
 void BM_McSimBatch(benchmark::State& state) {
   const auto cal = analysis::calibrate(process::tech_180nm());

@@ -1,13 +1,13 @@
 #include "analysis/montecarlo.hpp"
 
-#include "analysis/design.hpp"
+#include "core/l_only_model.hpp"
 #include "core/lc_model.hpp"
+#include "numeric/normal_stream.hpp"
 #include "numeric/stats.hpp"
 #include "support/parallel.hpp"
 
 #include <algorithm>
 #include <cmath>
-#include <random>
 #include <stdexcept>
 
 namespace ssnkit::analysis {
@@ -46,10 +46,9 @@ MonteCarloResult monte_carlo_vmax(const core::SsnScenario& nominal,
   // S), clamped so no parameter collapses or flips sign in the far tails.
   // Hoisting the draws is what makes the parallel evaluation below
   // bit-identical to serial for any thread count.
-  std::mt19937 rng(opts.seed);
-  std::normal_distribution<double> gauss(0.0, 1.0);
+  numeric::NormalStream gauss(opts.seed);
   const auto draw = [&](double sigma) {
-    return std::clamp(1.0 + sigma * gauss(rng), 0.2, 1.8);
+    return std::clamp(1.0 + sigma * gauss.next(), 0.2, 1.8);
   };
   const std::size_t stride = with_c ? 6 : 5;
   std::vector<double> factors(std::size_t(opts.samples) * stride);
@@ -80,9 +79,15 @@ MonteCarloResult monte_carlo_vmax(const core::SsnScenario& nominal,
         s.inductance *= f[k++];
         if (with_c) s.capacitance *= f[k++];
         s.slope *= f[k++];
-        out.samples[i] = predict_vmax(s);
-        if (with_c && core::LcModel(s).region() != nominal_region)
-          flipped[i] = 1;
+        // The factors keep C > 0, so the model choice is the nominal's, and
+        // one LcModel gives both V_max and the damping region.
+        if (with_c) {
+          const core::LcModel model(s);
+          out.samples[i] = model.v_max();
+          flipped[i] = model.region() != nominal_region;
+        } else {
+          out.samples[i] = core::LOnlyModel(s).v_max();
+        }
         done[i] = 1;
       },
       opts.run_ctx);
@@ -135,10 +140,9 @@ SimMonteCarloResult monte_carlo_vmax_sim(const Calibration& cal,
   // Draw every sample's factors up front, in a fixed order, so the sample
   // set never depends on which simulations later fail (or get injected
   // faults): survivors stay bit-for-bit comparable across runs.
-  std::mt19937 rng(opts.seed);
-  std::normal_distribution<double> gauss(0.0, 1.0);
+  numeric::NormalStream gauss(opts.seed);
   const auto vary = [&](double sigma) {
-    return std::clamp(1.0 + sigma * gauss(rng), 0.2, 1.8);
+    return std::clamp(1.0 + sigma * gauss.next(), 0.2, 1.8);
   };
   SimMonteCarloResult out;
   out.samples.resize(std::size_t(opts.samples));

@@ -20,7 +20,9 @@ namespace ssnkit::analysis {
 /// defaults are representative process/assembly spreads.
 struct MonteCarloOptions {
   int samples = 1000;
-  /// PRNG seed (std::mt19937). Fixed default so every run of the same build
+  /// Seed of the Gaussian stream, numeric::NormalStream: the draws of
+  /// std::normal_distribution<double>(0, 1) over std::mt19937 as libstdc++
+  /// makes them, on any standard library. Fixed default so every run
   /// reproduces the same sample set bit-for-bit; vary it explicitly to get
   /// independent replicates. Identical seed + options => identical samples.
   unsigned seed = 12345;
@@ -81,7 +83,7 @@ MonteCarloResult monte_carlo_vmax(const core::SsnScenario& nominal,
 /// batch.
 struct SimMonteCarloOptions {
   int samples = 16;  ///< full transients are costly; keep batches small
-  unsigned seed = 12345;
+  unsigned seed = 12345;  ///< as MonteCarloOptions::seed
   /// Threads, lifecycle and checkpoint/resume.
   BatchOptions batch;
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <vector>
 #include <limits>
 #include <stdexcept>
@@ -44,13 +45,19 @@ double quantile(std::span<const double> xs, double q) {
   if (xs.empty()) throw std::invalid_argument("quantile: empty sample");
   if (!(q >= 0.0 && q <= 1.0))
     throw std::invalid_argument("quantile: q must be in [0, 1]");
-  std::vector<double> sorted(xs.begin(), xs.end());
-  std::sort(sorted.begin(), sorted.end());
-  const double pos = q * double(sorted.size() - 1);
+  // The two order statistics the interpolation reads, found by selection:
+  // the lo-th smallest, then the smallest of what lies above it, which is
+  // the (lo + 1)-th of the sorted sample.
+  std::vector<double> v(xs.begin(), xs.end());
+  const double pos = q * double(v.size() - 1);
   const std::size_t lo = std::size_t(pos);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+  const auto at_lo = v.begin() + std::ptrdiff_t(lo);
+  std::nth_element(v.begin(), at_lo, v.end());
+  const double lower = *at_lo;
+  const double upper =
+      lo + 1 < v.size() ? *std::min_element(at_lo + 1, v.end()) : lower;
   const double w = pos - double(lo);
-  return (1.0 - w) * sorted[lo] + w * sorted[hi];
+  return (1.0 - w) * lower + w * upper;
 }
 
 }  // namespace ssnkit::numeric

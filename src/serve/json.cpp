@@ -2,8 +2,8 @@
 
 #include "io/diagnostics.hpp"
 
+#include <charconv>
 #include <cmath>
-#include <sstream>
 
 namespace ssnkit::serve {
 
@@ -310,10 +310,11 @@ std::string json_number(double value) {
     throw NonFiniteJsonError(std::string("non-finite double (") + what +
                              ") in a JSON payload");
   }
-  std::ostringstream ss;
-  ss.precision(17);
-  ss << value;
-  return ss.str();
+  // printf's %.17g: 17 significant digits round-trip every finite double.
+  char buf[32];
+  const auto end = std::to_chars(buf, buf + sizeof buf, value,
+                                 std::chars_format::general, 17);
+  return std::string(buf, end.ptr);
 }
 
 std::string json_number_or_null(double value) {

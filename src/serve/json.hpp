@@ -66,7 +66,8 @@ class NonFiniteJsonError : public std::runtime_error {
 };
 
 /// Render a double as a JSON number token. Finite values round-trip at 17
-/// significant digits; non-finite values throw NonFiniteJsonError — use
+/// significant digits (printf's %.17g); non-finite values throw
+/// NonFiniteJsonError — use
 /// json_number_or_null for fields where "not computed" is a legal state.
 std::string json_number(double value);
 

@@ -169,7 +169,7 @@ void Supervisor::watchdog_loop() {
         if (spawn_slot_locked(i)) cv_idle_.notify_all();
       }
     }
-    cv_idle_.wait_for(lock, std::chrono::milliseconds(20));
+    cv_watchdog_.wait_for(lock, std::chrono::milliseconds(20));
   }
 }
 
@@ -335,6 +335,7 @@ void Supervisor::shutdown() {
     }
   }
   cv_idle_.notify_all();
+  cv_watchdog_.notify_all();
   if (watchdog_.joinable()) watchdog_.join();
   std::lock_guard<std::mutex> lock(mu_);
   for (Slot& slot : slots_) {

@@ -173,7 +173,12 @@ class Supervisor {
   CrashCorrelation correlation_;
 
   mutable std::mutex mu_;
+  /// Executors wait here for an idle slot: a completion or a respawn wakes
+  /// one, shutdown wakes all.
   std::condition_variable cv_idle_;
+  /// The watchdog's own: it polls kill deadlines and respawns every 20 ms,
+  /// and only shutdown wakes it early.
+  std::condition_variable cv_watchdog_;
   std::vector<Slot> slots_;  // guarded by mu_ (inbuf: executor-owned)
   bool stop_ = false;        // guarded by mu_
   Counters counters_;        // guarded by mu_

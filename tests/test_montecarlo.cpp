@@ -1,11 +1,21 @@
 // Monte Carlo variation analysis on the closed-form models, plus the
-// failure-tolerant simulator-backed Monte Carlo.
+// failure-tolerant simulator-backed Monte Carlo. The normal stream, the
+// selection quantile and the one-model-per-sample loop are held bit for bit
+// against the std:: draws, full sort and two-model loop they replaced
+// (tests/reference/montecarlo.*).
 #include "analysis/calibrate.hpp"
 #include "analysis/design.hpp"
 #include "analysis/montecarlo.hpp"
+#include "numeric/normal_stream.hpp"
 #include "numeric/stats.hpp"
+#include "reference/montecarlo.hpp"
 
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstring>
+#include <random>
+#include <vector>
 
 namespace {
 
@@ -34,6 +44,124 @@ TEST(Quantile, InterpolatesSorted) {
   EXPECT_THROW(ssnkit::numeric::quantile(std::span<const double>{}, 0.5),
                std::invalid_argument);
   EXPECT_THROW(ssnkit::numeric::quantile(xs, 1.5), std::invalid_argument);
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+TEST(Quantile, SelectionMatchesFullSort) {
+  std::mt19937 rng(7);
+  std::uniform_real_distribution<double> spread(-1.0, 1.0);
+  std::uniform_int_distribution<int> few(0, 4);
+  for (std::size_t n : {1, 2, 3, 10, 1000, 2001}) {
+    std::vector<double> random(n);
+    std::vector<double> duplicated(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      random[i] = spread(rng);
+      duplicated[i] = 0.25 * double(few(rng));
+    }
+    for (const std::vector<double>* xs : {&random, &duplicated})
+      for (double q : {0.0, 0.5, 0.95, 0.99, 1.0})
+        EXPECT_TRUE(same_bits(numeric::quantile(*xs, q),
+                              reference::sorted_quantile(*xs, q)))
+            << "n = " << n << ", q = " << q;
+  }
+}
+
+// std::mt19937's sequence is fixed by the standard, so the block generator
+// must reproduce it on any standard library.
+TEST(NormalStream, WordsAreStdMt19937) {
+  for (std::uint32_t seed : {0u, 1u, 12345u, 2147483647u, 4294967295u}) {
+    std::mt19937 rng(seed);
+    numeric::NormalStream stream(seed);
+    for (int i = 0; i < 5000; ++i) {
+      const auto want = std::uint32_t(rng());
+      const std::uint32_t got = stream.next_word();
+      if (got != want)
+        FAIL() << "seed " << seed << ", word " << i << ": " << got
+               << " != " << want;
+    }
+  }
+}
+
+TEST(NormalStream, PortableGoldenValues) {
+  // The standard's own check: the 10,000th word of a default-seeded
+  // (5489) std::mt19937 is 4123659995.
+  numeric::NormalStream words(5489);
+  std::uint32_t word = 0;
+  for (int i = 0; i < 10000; ++i) word = words.next_word();
+  EXPECT_EQ(word, 4123659995u);
+  // The first normals of the default Monte Carlo seed, at 17 digits.
+  numeric::NormalStream gauss(12345);
+  for (double want : {0.59509116615656177, 0.041834029147292964,
+                      0.80044670802607831, -0.071921683380393439,
+                      -1.0430688803253312, -0.38115577049773919})
+    EXPECT_TRUE(same_bits(gauss.next(), want)) << want;
+}
+
+TEST(NormalStream, MatchesLibstdcxxNormalDistribution) {
+#if defined(__GLIBCXX__)
+  for (std::uint32_t seed : {0u, 1u, 12345u, 2147483647u, 4294967295u}) {
+    std::mt19937 rng(seed);
+    std::normal_distribution<double> gauss(0.0, 1.0);
+    numeric::NormalStream stream(seed);
+    for (int i = 0; i < 1'000'000; ++i) {
+      const double want = gauss(rng);
+      const double got = stream.next();
+      if (!same_bits(got, want))
+        FAIL() << "seed " << seed << ", draw " << i << ": " << got
+               << " != " << want;
+    }
+  }
+#else
+  GTEST_SKIP() << "the polar method reproduced is libstdc++'s";
+#endif
+}
+
+void expect_same_result(const analysis::MonteCarloResult& got,
+                        const analysis::MonteCarloResult& want) {
+  ASSERT_EQ(got.samples.size(), want.samples.size());
+  EXPECT_EQ(std::memcmp(got.samples.data(), want.samples.data(),
+                        got.samples.size() * sizeof(double)),
+            0);
+  EXPECT_TRUE(same_bits(got.mean, want.mean));
+  EXPECT_TRUE(same_bits(got.stddev, want.stddev));
+  EXPECT_TRUE(same_bits(got.min, want.min));
+  EXPECT_TRUE(same_bits(got.max, want.max));
+  EXPECT_TRUE(same_bits(got.p95, want.p95));
+  EXPECT_TRUE(same_bits(got.p99, want.p99));
+  EXPECT_TRUE(same_bits(got.ci95, want.ci95));
+  EXPECT_TRUE(same_bits(got.region_flip_fraction, want.region_flip_fraction));
+  EXPECT_EQ(got.completed, want.completed);
+  EXPECT_EQ(got.stop, want.stop);
+}
+
+// Named under MonteCarlo so the tsan job runs its 4-thread legs.
+TEST(MonteCarlo, MatchesReferenceAlgorithmBitForBit) {
+#if defined(__GLIBCXX__)
+  auto near_critical = nominal();  // flips the damping region often
+  near_critical.capacitance = near_critical.critical_capacitance();
+  auto l_only = nominal();
+  l_only.capacitance = 0.0;
+  for (const core::SsnScenario& s : {nominal(), near_critical, l_only})
+    for (unsigned seed : {0u, 12345u})
+      for (int samples : {2, 3, 1000, 20000}) {
+        MonteCarloOptions opts;
+        opts.samples = samples;
+        opts.seed = seed;
+        const auto want = reference::monte_carlo_vmax(s, opts);
+        for (int threads : {1, 4}) {
+          SCOPED_TRACE("C = " + std::to_string(s.capacitance) + ", seed " +
+                       std::to_string(seed) + ", " + std::to_string(samples) +
+                       " samples, " + std::to_string(threads) + " threads");
+          opts.threads = threads;
+          expect_same_result(monte_carlo_vmax(s, opts), want);
+        }
+      }
+#else
+  GTEST_SKIP() << "the reference draws from libstdc++'s normal_distribution";
+#endif
 }
 
 TEST(MonteCarlo, DistributionBracketsNominal) {

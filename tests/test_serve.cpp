@@ -3,6 +3,7 @@
 // robustness contract — bounded admission (SSN-E064), per-request deadlines
 // (SSN-E066), failure isolation (SSN-E065), and the every-accepted-request-
 // gets-exactly-one-response drain guarantee. See docs/SERVING.md.
+#include "reference/montecarlo.hpp"
 #include "serve/cache.hpp"
 #include "serve/handlers.hpp"
 #include "serve/json.hpp"
@@ -23,11 +24,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <mutex>
+#include <random>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -94,6 +99,24 @@ TEST(ServeJson, EnforcesDepthAndSizeBounds) {
   EXPECT_FALSE(parse_json("[1]", /*max_depth=*/16, /*max_bytes=*/2).ok);
   EXPECT_TRUE(parse_json("[[[1]]]", /*max_depth=*/3).ok);
   EXPECT_FALSE(parse_json("[[[[1]]]]", /*max_depth=*/3).ok);
+}
+
+// json_number prints through std::to_chars; the 17-digit stream it replaced
+// is the oracle, on random finite bit patterns and the edge cases.
+TEST(ServeJson, NumberMatchesStreamRendering) {
+  using limits = std::numeric_limits<double>;
+  for (double v : {0.0, -0.0, limits::denorm_min(), -limits::denorm_min(),
+                   limits::max(), limits::lowest(), 1e21, 1e-7, 0.1})
+    EXPECT_EQ(serve::json_number(v), reference::stream_number(v)) << v;
+  std::mt19937_64 rng(2026);
+  for (int checked = 0; checked < 1'000'000;) {
+    const double v = std::bit_cast<double>(rng());
+    if (!std::isfinite(v)) continue;
+    ++checked;
+    const std::string got = serve::json_number(v);
+    const std::string want = reference::stream_number(v);
+    if (got != want) FAIL() << got << " != " << want;
+  }
 }
 
 TEST(ServeJson, EscapeAndNumberRendering) {
