@@ -12,10 +12,12 @@
 #            - the daemon exits 0
 #            - every line it printed is valid JSON (checked with jq)
 #            - stats report accepted == responded (no accepted request lost)
-#   leg 3  process isolation: run a stream under --isolate process, kill -9
-#          a worker mid-load, and assert the containment contract: daemon
-#          exits 0, every request answered exactly once (typed SSN-E069 at
-#          worst), the dead worker noticed (SSN-W075) and respawned
+#   leg 3  process isolation: run a stream under --isolate process on the
+#          default pool (--threads 2, so 4 workers), kill -9 a worker
+#          mid-load, and assert the containment contract: daemon exits 0,
+#          every request answered exactly once (typed SSN-E069 at worst),
+#          the pool started with 4 workers, the dead worker noticed
+#          (SSN-W075) and respawned
 #
 # The SIGTERM may land after the load already finished on a fast machine —
 # the drain is then trivial but still exercised end to end, so the
@@ -238,7 +240,8 @@ for i in range(1000):
           % (i, 2 + i % 8, 1e-10 * (1 + 1e-4 * i)))
 EOF
 mkfifo "$WORK/proc_feed"
-"$SSNKIT" serve --queue 1024 --isolate process --workers 2 \
+# No --workers: the default pool is twice the resolved --threads.
+"$SSNKIT" serve --queue 1024 --isolate process --threads 2 \
     < "$WORK/proc_feed" > "$WORK/proc.log" &
 SERVE_PID=$!
 # Throttle the feed so the kill lands while requests are still arriving.
@@ -279,6 +282,13 @@ if [ "$SPAWNS" -lt 2 ]; then
   echo "serve_smoke: worker pool never spawned (spawns=$SPAWNS)" >&2
   exit 1
 fi
+# The initial pool is every spawn before the first death.
+INITIAL=$(awk '/"code":"SSN-W075"/ { exit } /"event":"worker-spawn"/ { n++ }
+               END { print n + 0 }' "$WORK/proc.log")
+if [ "$INITIAL" != 4 ]; then
+  echo "serve_smoke: --threads 2 started $INITIAL workers (want 4)" >&2
+  exit 1
+fi
 if [ -n "$VICTIM" ] && [ "$DEATHS" -lt 1 ]; then
   echo "serve_smoke: killed worker $VICTIM but no SSN-W075 was emitted" >&2
   exit 1
@@ -299,7 +309,7 @@ if [ "$PACCEPTED" != "$PRESPONDED" ]; then
        "($PACCEPTED accepted, $PRESPONDED responded)" >&2
   exit 1
 fi
-echo "process isolation OK (spawns=$SPAWNS deaths=$DEATHS," \
+echo "process isolation OK (pool=$INITIAL spawns=$SPAWNS deaths=$DEATHS," \
      "$PACCEPTED/$PACCEPTED answered)"
 
 echo "serve_smoke: PASS (clean drain, $ACCEPTED/$ACCEPTED accepted requests answered)"

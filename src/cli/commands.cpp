@@ -22,6 +22,7 @@
 #include "support/journal.hpp"
 #include "support/runcontext.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
@@ -71,6 +72,23 @@ double duration_flag(const Args& args, const std::string& key,
   if (!(seconds >= 0.0))
     throw std::invalid_argument("--" + key + " must be >= 0 (seconds)");
   return seconds;
+}
+
+/// A count flag (--threads, --workers), `fallback` when absent. 0 means
+/// auto; a negative count is an error, never a silent "auto".
+int count_flag(const Args& args, const std::string& key, int fallback) {
+  const int count = args.get_int(key, fallback);
+  if (count < 0)
+    throw std::invalid_argument("--" + key + " must be >= 0 (0 = auto)");
+  return count;
+}
+
+/// --seed, 12345 when absent. A negative seed is an error: it would wrap to
+/// an unsigned seed that --seed itself refuses (above INT_MAX).
+unsigned seed_flag(const Args& args) {
+  const int seed = args.get_int("seed", 12345);
+  if (seed < 0) throw std::invalid_argument("--seed must be >= 0");
+  return unsigned(seed);
 }
 
 /// One RunContext configured from the lifecycle flags, with the
@@ -176,7 +194,7 @@ struct BatchSetup {
       journal.emplace(journal_path, kind, config_hash, total);
       batch.journal = &*journal;
     }
-    batch.threads = args.get_int("threads", 1);
+    batch.threads = count_flag(args, "threads", 1);
     batch.run_ctx = &life.ctx;
   }
 
@@ -294,6 +312,8 @@ job lifecycle (sweep-n, sweep-c, mc, simulate):
 
 serve options:
   --socket PATH                listen on a Unix socket (default: stdin pipe)
+  --threads T                  server threads, 0 = auto (default); in
+                               process mode it sizes the worker pool
   --queue N                    admission bound; beyond it requests are shed
                                with SSN-E064 + retry_after_ms (default 64)
   --cache N                    result-cache entries, 0 disables (default 4096)
@@ -309,8 +329,9 @@ serve options:
                                worker: crashes/hangs/OOMs fail only their
                                own request (SSN-E068/E069), repeat-offender
                                requests are quarantined (SSN-E070)
-  --workers K                  process mode: worker processes (default:
-                               the resolved --threads count)
+  --workers K                  process mode: worker processes, one server
+                               thread each (default: twice the resolved
+                               --threads count, at most 64)
   --worker-mem MB              process mode: RLIMIT_AS per worker, 0 = none
                                (default 1024)
   --worker-cpu S               process mode: RLIMIT_CPU per worker, 0 = none
@@ -507,7 +528,7 @@ int cmd_mc(const Args& args, std::ostream& os) {
     // under the recovery ladder; failures degrade instead of aborting.
     analysis::SimMonteCarloOptions opts;
     opts.samples = args.get_int("samples", 16);
-    opts.seed = unsigned(args.get_int("seed", 12345));
+    opts.seed = seed_flag(args);
     BatchSetup setup(
         args, "mc-sim",
         batch_config_hash("mc-sim", tech.name, args.get_or("golden", "alpha"),
@@ -554,8 +575,8 @@ int cmd_mc(const Args& args, std::ostream& os) {
 
   analysis::MonteCarloOptions opts;
   opts.samples = args.get_int("samples", 1000);
-  opts.seed = unsigned(args.get_int("seed", 12345));
-  opts.threads = args.get_int("threads", 1);
+  opts.seed = seed_flag(args);
+  opts.threads = count_flag(args, "threads", 1);
 
   Lifecycle life(args);
   opts.run_ctx = &life.ctx;
@@ -721,7 +742,7 @@ int cmd_simulate(const Args& args, std::ostream& os) {
 
 int cmd_serve(const Args& args, std::ostream& os) {
   serve::ServerConfig config;
-  config.threads = args.get_int("threads", 0);
+  config.threads = count_flag(args, "threads", 0);
   const int queue = args.get_int("queue", 64);
   if (queue < 1) throw std::invalid_argument("--queue must be >= 1");
   config.queue_capacity = std::size_t(queue);
@@ -741,7 +762,7 @@ int cmd_serve(const Args& args, std::ostream& os) {
   } else if (isolate != "thread") {
     throw std::invalid_argument("--isolate must be 'thread' or 'process'");
   }
-  config.supervisor.workers = args.get_int("workers", 0);
+  config.supervisor.workers = count_flag(args, "workers", 0);
   const int worker_mem = args.get_int("worker-mem", 1024);
   if (worker_mem < 0) throw std::invalid_argument("--worker-mem must be >= 0");
   config.supervisor.mem_limit_mb = std::size_t(worker_mem);
@@ -807,23 +828,30 @@ int run_cli(const std::vector<std::string>& argv, std::ostream& os,
     err << usage();
     return 2;
   }
+  using Command = int (*)(const Args&, std::ostream&);
+  static const std::map<std::string, Command> commands = {
+      {"calibrate", cmd_calibrate}, {"estimate", cmd_estimate},
+      {"sweep-n", cmd_sweep_n},     {"sweep-c", cmd_sweep_c},
+      {"design", cmd_design},       {"mc", cmd_mc},
+      {"ac", cmd_ac},               {"simulate", cmd_simulate},
+      {"serve", cmd_serve}};
   const std::string command = argv.front();
   const std::vector<std::string> rest(argv.begin() + 1, argv.end());
   try {
-    const Args args = Args::parse(rest, {"no-c", "verify", "extended", "sim"});
-    if (command == "calibrate") return cmd_calibrate(args, os);
-    if (command == "estimate") return cmd_estimate(args, os);
-    if (command == "sweep-n") return cmd_sweep_n(args, os);
-    if (command == "sweep-c") return cmd_sweep_c(args, os);
-    if (command == "design") return cmd_design(args, os);
-    if (command == "mc") return cmd_mc(args, os);
-    if (command == "ac") return cmd_ac(args, os);
-    if (command == "simulate") return cmd_simulate(args, os);
-    if (command == "serve") return cmd_serve(args, os);
-    if (command == "help" || command == "--help") {
+    const Args args =
+        Args::parse(rest, {"no-c", "verify", "extended", "sim", "help"});
+    const auto it = commands.find(command);
+    const std::vector<std::string>& positional = args.positional();
+    // `<command> --help` and `<command> -h` ask for the usage: they print
+    // it, never run the command.
+    if (command == "help" || command == "--help" || command == "-h" ||
+        (it != commands.end() &&
+         (args.flag("help") || std::find(positional.begin(), positional.end(),
+                                         "-h") != positional.end()))) {
       os << usage();
       return 0;
     }
+    if (it != commands.end()) return it->second(args, os);
     err << "unknown command '" << command << "'\n" << usage();
     return 2;
   } catch (const std::exception& e) {

@@ -33,12 +33,17 @@ std::optional<std::string> replayable_hit(ResultCache& cache,
   return hit;
 }
 
-/// The supervisor's worker count follows the server's thread count unless
-/// pinned: every server thread must be able to hold a worker, or
-/// concurrency silently collapses to the smaller of the two.
+/// The supervisor's pool: twice the server's resolved thread count unless
+/// pinned, clamped as the Supervisor clamps it. A server thread holds its
+/// worker for the whole round trip, so a worker idles while its request and
+/// answer cross the socketpair; with a spare request per CPU another worker
+/// keeps that CPU busy meanwhile. The server starts one thread per worker,
+/// so every worker can hold a request.
 SupervisorConfig resolved_supervisor_config(const ServerConfig& config) {
   SupervisorConfig sup = config.supervisor;
-  if (sup.workers <= 0) sup.workers = support::resolve_threads(config.threads);
+  sup.workers = support::resolve_threads(
+      sup.workers > 0 ? sup.workers
+                      : 2 * support::resolve_threads(config.threads));
   return sup;
 }
 
@@ -56,7 +61,9 @@ Server::Server(const ServerConfig& config)
       cache_(config.cache_capacity) {
   if (!config_.cache_file.empty())
     warm_warnings_ = cache_.load(config_.cache_file);
-  const int threads = support::resolve_threads(config.threads);
+  const int threads = supervisor_ != nullptr
+                          ? resolved_supervisor_config(config).workers
+                          : support::resolve_threads(config.threads);
   threads_.reserve(std::size_t(threads));
   try {
     for (int i = 0; i < threads; ++i)

@@ -59,7 +59,9 @@ enum class IsolateMode { kThread, kProcess };
 
 // ssn-units: default_deadline_s=s, drain_deadline_s=s
 struct ServerConfig {
-  /// Worker threads (support::resolve_threads semantics: 0 = auto).
+  /// Server threads (support::resolve_threads semantics: 0 = auto). In
+  /// kProcess mode it sizes the default worker pool instead, and the server
+  /// starts one thread per worker.
   int threads = 0;
   /// Admission bound: requests beyond this many admitted but not yet
   /// started are shed (E064).
@@ -76,8 +78,10 @@ struct ServerConfig {
   double drain_deadline_s = 5.0;
   /// Execution isolation mode; kProcess enables the Supervisor.
   IsolateMode isolate = IsolateMode::kThread;
-  /// Supervisor tuning for kProcess mode. `workers` left at 0 inherits the
-  /// server's resolved thread count so every server thread has a worker.
+  /// Supervisor tuning for kProcess mode. `workers` left at 0 becomes twice
+  /// the resolved `threads` (at most 64), so a spare request per CPU keeps
+  /// the workers busy while answers cross their socketpairs; the server
+  /// starts one thread per worker either way.
   SupervisorConfig supervisor;
 };
 

@@ -79,6 +79,24 @@ TEST(Cli, HelpAndUnknownCommand) {
   EXPECT_EQ(run({}, out, err), 2);
 }
 
+TEST(Cli, EveryCommandPrintsHelpWithBothSpellings) {
+  // `<command> --help` and `<command> -h` print the usage and exit 0; they
+  // never run the command (serve would read stdin, estimate would answer).
+  std::string out, err;
+  for (const char* command :
+       {"calibrate", "estimate", "sweep-n", "sweep-c", "design", "mc", "ac",
+        "simulate", "serve", "help"}) {
+    for (const char* spelling : {"--help", "-h"}) {
+      SCOPED_TRACE(std::string(command) + " " + spelling);
+      EXPECT_EQ(run({command, spelling}, out, err), 0) << err;
+      EXPECT_EQ(out, usage());
+      EXPECT_EQ(err, "");
+      EXPECT_EQ(run({command, "--n", "4", spelling}, out, err), 0) << err;
+      EXPECT_EQ(out, usage());
+    }
+  }
+}
+
 TEST(Cli, Calibrate) {
   std::string out, err;
   ASSERT_EQ(run({"calibrate", "--tech", "180nm"}, out, err), 0) << err;
@@ -317,6 +335,45 @@ TEST(Cli, NegativeDurationsFail) {
     EXPECT_NE(err.find(std::string("error: ") + flag), std::string::npos)
         << err;
   }
+}
+
+TEST(Cli, NegativeSeedFails) {
+  // A negative --seed is refused, not wrapped to 4294967295 (a seed that
+  // --seed itself refuses as out of range); 0 to INT_MAX still run.
+  std::string out, err;
+  for (const bool sim : {false, true}) {
+    for (const std::string seed : {"-1", "0", "2147483647"}) {
+      SCOPED_TRACE(std::string(sim ? "mc --sim" : "mc") + " --seed " + seed);
+      std::vector<std::string> argv = {"mc", "--samples", "2", "--seed", seed};
+      if (sim) argv.push_back("--sim");
+      const bool negative = seed == "-1";
+      EXPECT_EQ(run(argv, out, err), negative ? 1 : 0) << err;
+      if (negative) {
+        EXPECT_NE(err.find("error: --seed"), std::string::npos) << err;
+      }
+    }
+  }
+}
+
+TEST(Cli, NegativeThreadsAndWorkersFail) {
+  // A negative count is an error at startup, never a silent "auto".
+  std::string out, err;
+  for (const std::vector<std::string>& argv :
+       std::vector<std::vector<std::string>>{
+           {"sweep-n", "--max-n", "2", "--threads", "-2"},
+           {"sweep-c", "--threads", "-2"},
+           {"mc", "--samples", "2", "--threads", "-2"},
+           {"mc", "--sim", "--samples", "2", "--threads", "-2"},
+           {"serve", "--threads", "-2"},
+           {"serve", "--isolate", "process", "--workers", "-3"}}) {
+    SCOPED_TRACE(argv[0] + " " + argv[argv.size() - 2]);
+    EXPECT_EQ(run(argv, out, err), 1);
+    EXPECT_NE(err.find("error: " + argv[argv.size() - 2]), std::string::npos)
+        << err;
+  }
+  // 0 still means auto.
+  EXPECT_EQ(run({"mc", "--samples", "2", "--threads", "0"}, out, err), 0)
+      << err;
 }
 
 TEST(Cli, RequestDeadlineBeyondTheWireBoundFails) {

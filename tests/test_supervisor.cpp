@@ -21,10 +21,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <mutex>
 #include <sstream>
 #include <stdexcept>
@@ -254,6 +256,97 @@ TEST(SupervisorProcess, ComputesAndCachesAcrossTheProcessBoundary) {
   ASSERT_NE(server.supervisor(), nullptr);
   EXPECT_EQ(server.supervisor()->worker_pids().size(), 2u);
   EXPECT_EQ(server.stats().cache_hits, 1u);
+}
+
+/// Submit `count` BSIM sweeps, each bounded by its own 30 s deadline
+/// (150-230 ms of work on a 4-vCPU VM, release), and return the most
+/// workers seen holding one at once.
+std::size_t peak_busy_workers(serve::Server& server, ResponseCollector& rc,
+                              std::size_t count) {
+  for (std::size_t i = 0; i < count; ++i)
+    server.submit_line(
+        R"({"id":"s)" + std::to_string(i) +
+            R"(","cmd":"sweep-n","max_n":64,"tr":1e-6,"golden":"bsim","c":1e-9,"deadline":30})",
+        rc.sink());
+  std::size_t peak = 0;
+  const auto t0 = std::chrono::steady_clock::now();
+  while (peak < count && server.stats().responded < count &&
+         std::chrono::steady_clock::now() - t0 < std::chrono::seconds(30)) {
+    peak = std::max(peak, server.supervisor()->busy_workers());
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(count_lines_with(rc.await(count), "\"ok\":true"), int(count));
+  return peak;
+}
+
+TEST(SupervisorProcess, DefaultPoolIsTwiceTheThreadsAndAllHoldRequests) {
+  // --threads 2 and no --workers: 4 workers, and one server thread per
+  // worker, so all 4 hold a request at once (with one thread per --threads
+  // only 2 could). The doubled default goes through the Supervisor's
+  // resolve_threads like any pool, so it is clamped at 64 as well.
+  serve::ServerConfig config = process_config(0);
+  config.cache_capacity = 0;
+  serve::Server server(config);
+  ASSERT_NE(server.supervisor(), nullptr);
+  EXPECT_EQ(server.supervisor()->worker_pids().size(), 4u);
+  ResponseCollector rc;
+  EXPECT_EQ(peak_busy_workers(server, rc, 4), 4u);
+}
+
+TEST(SupervisorProcess, ExplicitWorkersSetThePoolAndOneThreadEach) {
+  // --workers 3 beside --threads 2: 3 workers, all busy at once.
+  serve::ServerConfig config = process_config(3);
+  config.cache_capacity = 0;
+  serve::Server server(config);
+  EXPECT_EQ(server.supervisor()->worker_pids().size(), 3u);
+  ResponseCollector rc;
+  EXPECT_EQ(peak_busy_workers(server, rc, 3), 3u);
+}
+
+/// Each request line's answer from a fresh server, keyed by id, without
+/// its `elapsed_us` (a timing, not a result).
+std::map<std::string, std::string> answers_by_id(
+    const serve::ServerConfig& config, const std::vector<std::string>& lines) {
+  serve::Server server(config);
+  ResponseCollector rc;
+  for (const std::string& line : lines) server.submit_line(line, rc.sink());
+  std::map<std::string, std::string> answers;
+  for (std::string line : rc.await(lines.size())) {
+    const std::size_t elapsed = line.find(R"("elapsed_us":)");
+    if (elapsed != std::string::npos)
+      line.erase(elapsed, line.find(',', elapsed) - elapsed);
+    const std::size_t at = line.find(R"("id":")") + 6;
+    answers[line.substr(at, line.find('"', at) - at)] = line;
+  }
+  return answers;
+}
+
+TEST(SupervisorProcess, AnswersMatchThreadModeByteForByte) {
+  // The default tech/golden pair reaches workers already fitted (before the
+  // fork); 250nm/bsim is fitted lazily in a worker. Both answer exactly as
+  // thread mode does, simulated estimates, mc and sweeps included.
+  const std::vector<std::string> lines = {
+      R"({"id":"d-est","cmd":"estimate","n":6,"tr":1e-10})",
+      R"({"id":"d-sim","cmd":"estimate","n":4,"tr":1e-10,"sim":true})",
+      R"({"id":"d-mc","cmd":"mc","n":8,"samples":200,"seed":7})",
+      R"({"id":"d-sweep","cmd":"sweep-n","max_n":6,"tr":1e-10})",
+      R"({"id":"b-est","cmd":"estimate","tech":"250nm","golden":"bsim","n":6,"tr":2e-10})",
+      R"({"id":"b-sim","cmd":"estimate","tech":"250nm","golden":"bsim","n":4,"tr":2e-10,"sim":true})",
+      R"({"id":"b-mc","cmd":"mc","tech":"250nm","golden":"bsim","samples":200})",
+      R"({"id":"b-lonly","cmd":"estimate","tech":"250nm","golden":"bsim","include_c":false})",
+  };
+  serve::ServerConfig thread_config;
+  thread_config.threads = 2;
+  thread_config.cache_capacity = 0;
+  serve::ServerConfig process = process_config(0);
+  process.threads = 1;  // 2 workers
+  process.cache_capacity = 0;
+  const auto in_threads = answers_by_id(thread_config, lines);
+  const auto in_workers = answers_by_id(process, lines);
+  ASSERT_EQ(in_threads.size(), lines.size());
+  EXPECT_EQ(in_workers, in_threads);
+  for (const auto& [id, answer] : in_threads)
+    EXPECT_NE(answer.find(R"("ok":true)"), std::string::npos) << answer;
 }
 
 TEST(SupervisorProcess, Kill9MidRequestAnswersExactlyOneE069) {
