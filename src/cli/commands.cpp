@@ -840,14 +840,16 @@ int run_cli(const std::vector<std::string>& argv, std::ostream& os,
   try {
     const Args args =
         Args::parse(rest, {"no-c", "verify", "extended", "sim", "help"});
-    const auto it = commands.find(command);
+    // `<command> --help` and `<command> -h` print the usage instead of
+    // running the command.
     const std::vector<std::string>& positional = args.positional();
-    // `<command> --help` and `<command> -h` ask for the usage: they print
-    // it, never run the command.
+    const bool asks_help =
+        args.flag("help") ||
+        std::find(positional.begin(), positional.end(), "-h") !=
+            positional.end();
+    const auto it = commands.find(command);
     if (command == "help" || command == "--help" || command == "-h" ||
-        (it != commands.end() &&
-         (args.flag("help") || std::find(positional.begin(), positional.end(),
-                                         "-h") != positional.end()))) {
+        (it != commands.end() && asks_help)) {
       os << usage();
       return 0;
     }
