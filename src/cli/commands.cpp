@@ -313,7 +313,7 @@ job lifecycle (sweep-n, sweep-c, mc, simulate):
 serve options:
   --socket PATH                listen on a Unix socket (default: stdin pipe)
   --threads T                  server threads, 0 = auto (default); in
-                               process mode it sizes the worker pool
+                               process mode at least one per worker
   --queue N                    admission bound; beyond it requests are shed
                                with SSN-E064 + retry_after_ms (default 64)
   --cache N                    result-cache entries, 0 disables (default 4096)
@@ -329,9 +329,9 @@ serve options:
                                worker: crashes/hangs/OOMs fail only their
                                own request (SSN-E068/E069), repeat-offender
                                requests are quarantined (SSN-E070)
-  --workers K                  process mode: worker processes, one server
-                               thread each (default: twice the resolved
-                               --threads count, at most 64)
+  --workers K                  process mode: worker processes (default:
+                               twice the resolved --threads count, at
+                               most 64)
   --worker-mem MB              process mode: RLIMIT_AS per worker, 0 = none
                                (default 1024)
   --worker-cpu S               process mode: RLIMIT_CPU per worker, 0 = none

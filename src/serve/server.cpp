@@ -17,6 +17,14 @@ namespace {
 // Spill the cache file every this many successful results (and on drain).
 constexpr std::size_t kCacheSpillEvery = 256;
 
+/// A request that runs this long in a worker is compute-bound: its
+/// socketpair round trip (tens of µs) is under 1 % of its time, so a spare
+/// worker has nothing to hide behind it and would only share its CPU.
+constexpr auto kComputeBound = std::chrono::milliseconds(10);
+
+constexpr const char* kDrainedBeforeStart =
+    "cancelled: drain deadline passed before the request started";
+
 /// A cached result that may be replayed: only a verified/refined entry.
 /// Degraded or unverified entries — and entries with no parseable trust
 /// member at all (pre-trust-layer or damaged) — are recomputed, never
@@ -36,9 +44,10 @@ std::optional<std::string> replayable_hit(ResultCache& cache,
 /// The supervisor's pool: twice the server's resolved thread count unless
 /// pinned, clamped as the Supervisor clamps it. A server thread holds its
 /// worker for the whole round trip, so a worker idles while its request and
-/// answer cross the socketpair; with a spare request per CPU another worker
-/// keeps that CPU busy meanwhile. The server starts one thread per worker,
-/// so every worker can hold a request.
+/// answer cross the socketpair; on requests short enough for that round
+/// trip to be a sizeable share of their time, a spare request per CPU keeps
+/// the CPU busy meanwhile. Compute-bound requests get no spare workers
+/// (Server::execute_in_worker).
 SupervisorConfig resolved_supervisor_config(const ServerConfig& config) {
   SupervisorConfig sup = config.supervisor;
   sup.workers = support::resolve_threads(
@@ -61,9 +70,15 @@ Server::Server(const ServerConfig& config)
       cache_(config.cache_capacity) {
   if (!config_.cache_file.empty())
     warm_warnings_ = cache_.load(config_.cache_file);
-  const int threads = supervisor_ != nullptr
-                          ? resolved_supervisor_config(config).workers
-                          : support::resolve_threads(config.threads);
+  // Process mode starts a thread per worker, so every worker can hold a
+  // request, and never fewer than --threads: the threads beyond the pool
+  // answer what needs no worker (cache hits, quarantine refusals) while
+  // every worker is busy.
+  int threads = support::resolve_threads(config.threads);
+  if (supervisor_ != nullptr) {
+    compute_slots_ = threads;
+    threads = std::max(threads, resolved_supervisor_config(config).workers);
+  }
   threads_.reserve(std::size_t(threads));
   try {
     for (int i = 0; i < threads; ++i)
@@ -154,8 +169,7 @@ void Server::process(Pending& pending) {
     const std::uint64_t key = cache_key(request);
     WorkerOutcome outcome;  // kStopped until a branch below answers
     if (drain_expired_.load(std::memory_order_acquire)) {
-      outcome.detail =
-          "cancelled: drain deadline passed before the request started";
+      outcome.detail = kDrainedBeforeStart;
     } else if (const std::optional<std::string> hit =
                    replayable_hit(cache_, key, cache_warning)) {
       cache_hit = true;
@@ -169,7 +183,7 @@ void Server::process(Pending& pending) {
       // Process isolation: the request executes in a sandboxed worker and
       // the watchdog enforces its deadline with SIGKILL, so even a solve
       // that never polls its context cannot outlive it.
-      outcome = supervisor_->execute(request, request.deadline_s);
+      outcome = execute_in_worker(request);
     } else {
       // Thread mode: the worker's respond(), in process, under a context
       // a drain past its deadline can cancel.
@@ -244,6 +258,63 @@ void Server::process(Pending& pending) {
   }
 }
 
+WorkerOutcome Server::execute_in_worker(const ServeRequest& request) {
+  using Clock = std::chrono::steady_clock;
+  // Up to --threads requests compute in workers at once, as they would on
+  // one worker per CPU. A spare worker takes one more only while requests
+  // are short: the last request to leave a worker ran under kComputeBound,
+  // and no request now in a worker has run that long while others came and
+  // went. Then it computes while another's answer crosses its socketpair.
+  // Next to compute-bound requests it would only halve their CPU, and
+  // their deadlines, clocked from the moment a worker starts them, would
+  // expire at half the work; waiting here keeps a request's clock stopped,
+  // as in the queue. Tickets keep the waiters in arrival order.
+  const auto may_take_worker = [&] {
+    if (in_workers_.size() < std::size_t(compute_slots_)) return true;
+    if (!short_requests_) return false;
+    const Clock::time_point now = Clock::now();
+    return std::none_of(
+        in_workers_.begin(), in_workers_.end(), [&](const InWorker& w) {
+          return now - w.since >= kComputeBound && w.left_before != left_;
+        });
+  };
+  std::list<InWorker>::iterator self;
+  {
+    std::unique_lock<std::mutex> lock(mu_);
+    const std::uint64_t ticket = worker_tickets_++;
+    cv_worker_.wait(lock, [&] {
+      return drain_expired_.load(std::memory_order_acquire) ||
+             (ticket == worker_turn_ && may_take_worker());
+    });
+    if (drain_expired_.load(std::memory_order_acquire)) {
+      WorkerOutcome stopped;
+      stopped.detail = kDrainedBeforeStart;
+      return stopped;
+    }
+    ++worker_turn_;
+    self = in_workers_.insert(in_workers_.end(), {Clock::now(), left_});
+  }
+  cv_worker_.notify_all();  // the next ticket may go too
+  const auto leave = [&] {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      short_requests_ = Clock::now() - self->since < kComputeBound;
+      in_workers_.erase(self);
+      ++left_;
+    }
+    cv_worker_.notify_all();
+  };
+  WorkerOutcome outcome;
+  try {
+    outcome = supervisor_->execute(request, request.deadline_s);
+  } catch (...) {
+    leave();
+    throw;
+  }
+  leave();
+  return outcome;
+}
+
 void Server::maybe_spill() {
   if (config_.cache_file.empty()) return;
   {
@@ -277,6 +348,7 @@ void Server::finish() {
       // to answer without executing. Then wait for real — the engine polls
       // its context every accepted step, so this converges quickly.
       drain_expired_.store(true, std::memory_order_release);
+      cv_worker_.notify_all();
       for (support::RunContext* ctx : active_) ctx->request_cancel();
       // Process mode routes the drain deadline through the watchdog's
       // SIGKILL: a worker wedged in code that never polls would otherwise

@@ -38,11 +38,13 @@
 #include "support/runcontext.hpp"
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <iosfwd>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -60,8 +62,8 @@ enum class IsolateMode { kThread, kProcess };
 // ssn-units: default_deadline_s=s, drain_deadline_s=s
 struct ServerConfig {
   /// Server threads (support::resolve_threads semantics: 0 = auto). In
-  /// kProcess mode it sizes the default worker pool instead, and the server
-  /// starts one thread per worker.
+  /// kProcess mode it also sizes the default worker pool, and the server
+  /// starts more threads if the pool has more workers.
   int threads = 0;
   /// Admission bound: requests beyond this many admitted but not yet
   /// started are shed (E064).
@@ -81,7 +83,7 @@ struct ServerConfig {
   /// Supervisor tuning for kProcess mode. `workers` left at 0 becomes twice
   /// the resolved `threads` (at most 64), so a spare request per CPU keeps
   /// the workers busy while answers cross their socketpairs; the server
-  /// starts one thread per worker either way.
+  /// starts at least one thread per worker either way.
   SupervisorConfig supervisor;
 };
 
@@ -148,6 +150,10 @@ class Server {
   /// A server thread: take the next queued request, process it, repeat.
   void worker_loop();
   void process(Pending& pending);
+  /// Process mode: run `request` in a worker once it may take one (see
+  /// in_workers_), or answer without running it if the drain deadline
+  /// passes while it waits.
+  WorkerOutcome execute_in_worker(const ServeRequest& request);
   void maybe_spill();
   void emit_event(const std::string& line);
 
@@ -178,6 +184,28 @@ class Server {
   /// Contexts of requests currently executing, so a drain past its
   /// deadline can cancel them cooperatively. Guarded by mu_.
   std::vector<support::RunContext*> active_;
+  /// Process mode: a request in a worker, with when it got there and how
+  /// many requests had left workers by then.
+  struct InWorker {
+    std::chrono::steady_clock::time_point since;
+    std::uint64_t left_before = 0;
+  };
+  /// The requests now in workers. Up to the resolved --threads
+  /// (compute_slots_) may be; beyond that the pool's spare workers take a
+  /// request only while requests are short (execute_in_worker). Guarded by
+  /// mu_.
+  std::list<InWorker> in_workers_;
+  int compute_slots_ = 0;
+  /// Requests that have left workers. Guarded by mu_.
+  std::uint64_t left_ = 0;
+  /// The last request to leave a worker was not compute-bound. Guarded by
+  /// mu_; false until one has, so a cold pool starts at --threads.
+  bool short_requests_ = false;
+  /// Held-back requests take a worker in arrival order: tickets issued and
+  /// the ticket whose turn it is. Guarded by mu_.
+  std::uint64_t worker_tickets_ = 0;
+  std::uint64_t worker_turn_ = 0;
+  std::condition_variable cv_worker_;  ///< wakes threads held back above
 
   std::atomic<bool> draining_{false};
   /// Set when the drain deadline passed: queued requests answer SSN-E066

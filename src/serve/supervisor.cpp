@@ -7,7 +7,6 @@
 #include "support/runcontext.hpp"
 #include "support/subprocess.hpp"
 
-#include <exception>
 #include <fstream>
 #include <utility>
 
@@ -67,15 +66,6 @@ Supervisor::Supervisor(const SupervisorConfig& config, EventSink events)
     : config_(config),
       events_(std::move(events)),
       correlation_(config.quarantine_after, config.quarantine_file) {
-  // Fit what a default request needs once, here, instead of once in every
-  // worker on its first request. Best effort: a failed fit leaves the
-  // workers fitting lazily, as they do for every other tech/golden pair.
-  const ServeRequest defaults;
-  try {
-    calibrations_.get(defaults.tech, defaults.golden);
-  } catch (const std::exception&) {
-    // Nothing was cached: the workers fit the pair on first use instead.
-  }
   const int workers = support::resolve_threads(config_.workers);
   slots_.resize(std::size_t(workers));
   {
@@ -112,11 +102,10 @@ bool Supervisor::spawn_slot_locked(std::size_t index) {
   limits.cpu_limit_s = config_.cpu_limit_s;
   support::ChildProcess child;
   std::string err;
-  CalibrationCache& calibrations = calibrations_;
   const bool ok = support::spawn_child(
-      [other_fds, &calibrations](int fd) {
+      [other_fds](int fd) {
         for (int ofd : other_fds) ::close(ofd);
-        return worker_main(fd, calibrations);
+        return worker_main(fd);
       },
       limits, child, err);
   if (!ok) {

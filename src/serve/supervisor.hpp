@@ -28,15 +28,12 @@
 // across the process hop with no second code path.
 //
 // Concurrency: execute() is called from the server's threads, one
-// in-flight request per worker slot; a server in process mode starts one
-// thread per worker, and its default pool is twice its resolved --threads
-// (server.hpp), so while one worker's answer crosses its socketpair another
-// keeps its CPU busy. A single watchdog thread owns kills and respawns.
-// The mutex guards slot state only — never held across fork, write, read,
-// or waitpid. Before the first fork the constructor fits the default
-// request's calibration into a cache every worker inherits; the parent
-// never touches that cache again, so a worker forked from the watchdog
-// thread inherits it unlocked.
+// in-flight request per worker slot; a server in process mode starts at
+// least one thread per worker, and its default pool is twice its resolved
+// --threads (server.hpp), so on short requests one worker computes while
+// another's answer crosses its socketpair. A single watchdog thread owns
+// kills and respawns. The mutex guards slot state only — never held across
+// fork, write, read, or waitpid.
 #pragma once
 
 #include "serve/handlers.hpp"
@@ -108,8 +105,8 @@ class Supervisor {
   /// supervisor thread. Pass an empty function to discard.
   using EventSink = std::function<void(const std::string& line)>;
 
-  /// Fits the default request's calibration, forks the initial pool (before
-  /// the caller spins up its own threads, ideally) and starts the watchdog.
+  /// Forks the initial pool (before the caller spins up its own threads,
+  /// ideally) and starts the watchdog.
   Supervisor(const SupervisorConfig& config, EventSink events);
   ~Supervisor();
   Supervisor(const Supervisor&) = delete;
@@ -179,9 +176,6 @@ class Supervisor {
   const SupervisorConfig config_;
   const EventSink events_;
   CrashCorrelation correlation_;
-  /// Every worker's calibration cache, as forked: the default request's fit
-  /// (if it succeeded), made before the first fork. Only workers use it.
-  CalibrationCache calibrations_;
 
   mutable std::mutex mu_;
   /// Executors wait here for an idle slot: a completion or a respawn wakes

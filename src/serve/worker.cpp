@@ -56,11 +56,11 @@ void allocation_burst() {
 }  // namespace
 #endif
 
-int worker_main(int fd, CalibrationCache& calibrations) {
-  // The calibration cache is this process's copy of the Supervisor's: the
-  // default request's fit, made before the fork, arrives already in it (a
-  // respawned worker inherits it too), and any other tech/golden pair is
-  // fitted here on first use and amortized over the worker's life.
+int worker_main(int fd) {
+  // Worker-local calibration cache: fits are re-done per worker process
+  // (they cannot be shared across fork once a worker is respawned), but a
+  // long-lived worker amortizes them across all requests it serves.
+  CalibrationCache calibrations;
   std::string inbuf;
   std::string line;
   for (;;) {

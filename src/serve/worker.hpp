@@ -30,16 +30,12 @@
 // poison pill (`worker-crash@13=1`).
 #pragma once
 
-#include "serve/handlers.hpp"
-
 namespace ssnkit::serve {
 
 /// Run the worker request loop on `fd` until the parent closes its end
-/// (normal shutdown) or a read error occurs, fitting calibrations into
-/// `calibrations` (the child's copy of the Supervisor's, which may already
-/// hold the default fit). Returns the process exit code (0 on EOF). Called
-/// by the Supervisor via support::spawn_child; callable directly from tests
-/// with any socket/pipe fd.
-int worker_main(int fd, CalibrationCache& calibrations);
+/// (normal shutdown) or a read error occurs. Returns the process exit code
+/// (0 on EOF). Called by the Supervisor via support::spawn_child; callable
+/// directly from tests with any socket/pipe fd.
+int worker_main(int fd);
 
 }  // namespace ssnkit::serve
