@@ -10,6 +10,7 @@
 #include "bench_util.hpp"
 
 #include "analysis/calibrate.hpp"
+#include "circuit/testbench.hpp"
 #include "core/lc_model.hpp"
 #include "io/ascii_chart.hpp"
 #include "io/table.hpp"
@@ -26,29 +27,8 @@ namespace {
 sim::AcResult probe_ground_impedance(const analysis::Calibration& cal,
                                      int n_drivers, double l, double c,
                                      double vg_bias) {
-  Circuit ckt;
-  const auto& tech = cal.tech;
-  const NodeId n_vdd = ckt.node("vdd");
-  const NodeId n_vssi = ckt.node("vssi");
-  ckt.add_vsource("Vdd", n_vdd, kGround, waveform::Dc{tech.vdd});
-  ckt.add_inductor("Lgnd", n_vssi, kGround, l);
-  ckt.add_capacitor("Cpad", n_vssi, kGround, c);
-
-  std::shared_ptr<const devices::MosfetModel> nmos(tech.make_golden());
-  for (int i = 0; i < n_drivers; ++i) {
-    const std::string idx = std::to_string(i);
-    const NodeId in = ckt.node("in" + idx);
-    const NodeId out = ckt.node("out" + idx);
-    // Bias mid-switching: the pull-down conducts, its gm damps the tank.
-    ckt.add_vsource("Vin" + idx, in, kGround, waveform::Dc{vg_bias});
-    ckt.add_mosfet("Mn" + idx, out, in, n_vssi, kGround, nmos);
-    ckt.add_resistor("Rload" + idx, n_vdd, out, 200.0);  // keeps M saturated
-    ckt.add_capacitor("Cl" + idx, out, kGround, tech.load_cap);
-  }
-
-  auto& probe = ckt.add_isource("Iprobe", kGround, n_vssi, waveform::Dc{0.0});
-  probe.set_ac(1.0);
-
+  Circuit ckt = make_ground_probe(cal.tech, process::GoldenKind::kAlphaPower,
+                                  l, c, n_drivers, vg_bias);
   sim::AcOptions opts;
   opts.f_start = 2e8;
   opts.f_stop = 2e11;

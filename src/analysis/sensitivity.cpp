@@ -2,12 +2,8 @@
 
 #include "analysis/design.hpp"
 #include "core/l_only_model.hpp"
-#include "support/diagnostics.hpp"
-#include "support/parallel.hpp"
 
-#include <array>
 #include <cmath>
-#include <functional>
 #include <stdexcept>
 
 namespace ssnkit::analysis {
@@ -43,11 +39,13 @@ SsnSensitivities l_only_sensitivities(const core::SsnScenario& scenario) {
 
 namespace {
 
+/// The relative perturbation of each central difference.
+constexpr double kRelStep = 1e-4;
+
 /// Central-difference elasticity d ln V / d ln p via a parameter mutator.
 template <typename Setter>
-double elasticity(const core::SsnScenario& s, double value, double rel_step,
-                  const Setter& set) {
-  const double h = value * rel_step;
+double elasticity(const core::SsnScenario& s, double value, const Setter& set) {
+  const double h = value * kRelStep;
   core::SsnScenario up = s;
   set(up, value + h);
   core::SsnScenario dn = s;
@@ -60,66 +58,34 @@ double elasticity(const core::SsnScenario& s, double value, double rel_step,
 
 }  // namespace
 
-SsnSensitivities lc_sensitivities(const core::SsnScenario& scenario,
-                                  double rel_step, int threads,
-                                  const support::RunContext* run_ctx) {
+SsnSensitivities lc_sensitivities(const core::SsnScenario& scenario) {
   scenario.validate();
   if (!(scenario.capacitance > 0.0))
     throw std::invalid_argument("lc_sensitivities: capacitance must be > 0 "
                                 "(use l_only_sensitivities)");
-  if (!(rel_step > 0.0 && rel_step < 0.1))
-    throw std::invalid_argument("lc_sensitivities: rel_step out of range");
 
-  // The six stencils are independent; each writes its own slot, so the
-  // parallel evaluation is identical to serial for any thread count.
-  using Setter = std::function<void(core::SsnScenario&, double)>;
-  struct Param {
-    double value = 0.0;
-    Setter set;
-  };
+  using core::SsnScenario;
+  SsnSensitivities out;
   // N is discrete in the scenario; scale through (K, lambda-preserving)
   // current instead: N*K enters every formula as a product, so perturbing K
   // with fixed N measures the same elasticity.
-  const std::array<Param, 6> params = {{
-      {scenario.device.k,
-       [](core::SsnScenario& s, double v) { s.device.k = v; }},
-      {scenario.inductance,
-       [](core::SsnScenario& s, double v) { s.inductance = v; }},
-      {scenario.capacitance,
-       [](core::SsnScenario& s, double v) { s.capacitance = v; }},
-      {scenario.slope, [](core::SsnScenario& s, double v) { s.slope = v; }},
-      {scenario.device.lambda,
-       [](core::SsnScenario& s, double v) { s.device.lambda = v; }},
-      {scenario.device.vx,
-       [](core::SsnScenario& s, double v) { s.device.vx = v; }},
-  }};
-  std::array<double, 6> e{};
-  const support::BatchStatus status = support::parallel_for_index(
-      threads, params.size(),
-      [&](std::size_t i) {
-        e[i] = elasticity(scenario, params[i].value, rel_step, params[i].set);
-      },
-      run_ctx);
-  if (status.stopped) {
-    // All six elasticities or nothing: a partial vector would silently
-    // report zeros for the missing parameters.
-    const support::StopReason stop = run_ctx->stop_reason();
-    throw support::SolverError(
-        stop == support::StopReason::kDeadlineExpired
-            ? support::SolverErrorKind::kDeadlineExpired
-            : support::SolverErrorKind::kCancelled,
-        "lc_sensitivities stopped after " + std::to_string(status.completed) +
-            "/6 stencils");
-  }
-
-  SsnSensitivities out;
-  out.wrt_drivers = e[0];
+  out.wrt_drivers =
+      elasticity(scenario, scenario.device.k,
+                 [](SsnScenario& s, double v) { s.device.k = v; });
   out.wrt_k = out.wrt_drivers;
-  out.wrt_inductance = e[1];
-  out.wrt_capacitance = e[2];
-  out.wrt_slope = e[3];
-  out.wrt_lambda = e[4];
-  out.wrt_vx = e[5];
+  out.wrt_inductance =
+      elasticity(scenario, scenario.inductance,
+                 [](SsnScenario& s, double v) { s.inductance = v; });
+  out.wrt_capacitance =
+      elasticity(scenario, scenario.capacitance,
+                 [](SsnScenario& s, double v) { s.capacitance = v; });
+  out.wrt_slope = elasticity(scenario, scenario.slope,
+                             [](SsnScenario& s, double v) { s.slope = v; });
+  out.wrt_lambda =
+      elasticity(scenario, scenario.device.lambda,
+                 [](SsnScenario& s, double v) { s.device.lambda = v; });
+  out.wrt_vx = elasticity(scenario, scenario.device.vx,
+                          [](SsnScenario& s, double v) { s.device.vx = v; });
   return out;
 }
 

@@ -7,7 +7,6 @@
 #pragma once
 
 #include "core/scenario.hpp"
-#include "support/runcontext.hpp"
 
 namespace ssnkit::analysis {
 
@@ -28,16 +27,10 @@ struct SsnSensitivities {
 /// the implementation.
 SsnSensitivities l_only_sensitivities(const core::SsnScenario& scenario);
 
-/// Central-difference elasticities of the full Table 1 V_max. `rel_step`
-/// is the relative perturbation per parameter. `threads` parallelizes the
-/// six independent difference stencils (1 = serial, 0 = auto); each stencil
-/// writes its own slot so the result is identical for any value. When
-/// `run_ctx` is set and the batch is stopped before all stencils finish,
-/// throws support::SolverError with the stop kind — a partial sensitivity
-/// vector has no meaning, unlike a partial sweep.
-SsnSensitivities lc_sensitivities(const core::SsnScenario& scenario,
-                                  double rel_step = 1e-4, int threads = 1,
-                                  const support::RunContext* run_ctx = nullptr);
+/// Central-difference elasticities of the full Table 1 V_max, each from a
+/// 1e-4 relative perturbation of its parameter. Throws
+/// std::invalid_argument without a pad capacitance.
+SsnSensitivities lc_sensitivities(const core::SsnScenario& scenario);
 
 /// lc_sensitivities with a pad capacitance, l_only_sensitivities without.
 SsnSensitivities closed_form_sensitivities(const core::SsnScenario& scenario);

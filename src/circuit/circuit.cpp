@@ -30,11 +30,6 @@ NodeId Circuit::find_node(const std::string& name) const {
   return it->second;
 }
 
-bool Circuit::has_node(const std::string& name) const {
-  const std::string key = (name == "gnd" || name == "GND") ? "0" : name;
-  return node_ids_.count(key) != 0;
-}
-
 const std::string& Circuit::node_name(NodeId id) const {
   if (id < 0 || id >= node_count())
     throw std::out_of_range("Circuit::node_name: bad node id");

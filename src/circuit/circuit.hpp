@@ -20,7 +20,6 @@ class Circuit {
   NodeId node(const std::string& name);
   /// Look up an existing node; throws std::out_of_range when unknown.
   NodeId find_node(const std::string& name) const;
-  bool has_node(const std::string& name) const;
   const std::string& node_name(NodeId id) const;
 
   /// Total node count including ground.

@@ -131,4 +131,28 @@ SsnBench make_ssn_testbench(const SsnBenchSpec& spec) {
   return bench;
 }
 
+Circuit make_ground_probe(const process::Technology& tech,
+                          process::GoldenKind golden, double inductance,
+                          double capacitance, int n_drivers, double gate_bias) {
+  Circuit ckt;
+  const NodeId n_vdd = ckt.node("vdd");
+  const NodeId n_vssi = ckt.node("vssi");
+  ckt.add_vsource("Vdd", n_vdd, kGround, waveform::Dc{tech.vdd});
+  ckt.add_inductor("Lgnd", n_vssi, kGround, inductance);
+  if (capacitance > 0.0)
+    ckt.add_capacitor("Cpad", n_vssi, kGround, capacitance);
+  std::shared_ptr<const devices::MosfetModel> nmos(tech.make_golden(golden));
+  for (int i = 0; i < n_drivers; ++i) {
+    const std::string idx = std::to_string(i);
+    const NodeId in = ckt.node("in" + idx);
+    const NodeId out = ckt.node("out" + idx);
+    ckt.add_vsource("Vin" + idx, in, kGround, waveform::Dc{gate_bias});
+    ckt.add_mosfet("Mn" + idx, out, in, n_vssi, kGround, nmos);
+    ckt.add_resistor("Rload" + idx, n_vdd, out, 200.0);  // keeps M saturated
+    ckt.add_capacitor("Cl" + idx, out, kGround, tech.load_cap);
+  }
+  ckt.add_isource("Iprobe", kGround, n_vssi, waveform::Dc{0.0}).set_ac(1.0);
+  return ckt;
+}
+
 }  // namespace ssnkit::circuit

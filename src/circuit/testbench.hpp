@@ -80,6 +80,17 @@ struct SsnBench {
 
 SsnBench make_ssn_testbench(const SsnBenchSpec& spec);
 
+/// The ground-path impedance probe of `ssnkit ac` and bench_ac_impedance:
+/// the driver bank linearized mid-switching. "vssi" reaches ground through
+/// "Lgnd" (and "Cpad" when `capacitance` > 0); each driver i is a pull-down
+/// "Mn<i>" held on by a DC gate bias "Vin<i>" (its gm is the tank's only
+/// damping), with "Rload<i>" (200 Ohm, from "Vdd"'s rail) and "Cl<i>"
+/// (the technology's load) on its output; "Iprobe" injects 1 A of AC into
+/// vssi, so AC analysis reads |Z(f)| as the voltage at vssi.
+Circuit make_ground_probe(const process::Technology& tech,
+                          process::GoldenKind golden, double inductance,
+                          double capacitance, int n_drivers, double gate_bias);
+
 /// Names the circuit make_ssn_testbench builds, how its devices are
 /// linearized and how its Jacobian is factored. Batch journals mix it into
 /// their configuration hash, so a journal written for another layout is

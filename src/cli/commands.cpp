@@ -14,6 +14,7 @@
 #include "core/lc_model.hpp"
 #include "waveform/render.hpp"
 #include "support/atomic_file.hpp"
+#include "io/csv.hpp"
 #include "io/table.hpp"
 #include "sim/ac.hpp"
 #include "sim/engine.hpp"
@@ -27,6 +28,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <mutex>
@@ -83,8 +85,10 @@ int count_flag(const Args& args, const std::string& key, int fallback) {
   return count;
 }
 
-/// --seed, 12345 when absent. A negative seed is an error: it would wrap to
-/// an unsigned seed that --seed itself refuses (above INT_MAX).
+/// --seed, 12345 when absent, in [0, serve::kMaxSeed] like serve's "seed":
+/// get_int refuses anything above INT_MAX, and a negative seed is an error
+/// (it would wrap to an unsigned seed above INT_MAX).
+static_assert(serve::kMaxSeed == std::numeric_limits<int>::max());
 unsigned seed_flag(const Args& args) {
   const int seed = args.get_int("seed", 12345);
   if (seed < 0) throw std::invalid_argument("--seed must be >= 0");
@@ -205,48 +209,28 @@ struct BatchSetup {
   }
 };
 
-/// Render rows into a CSV string at full double precision (17 significant
-/// digits round-trips every double exactly) and publish it atomically.
-/// Shared by every --out artifact so "clean run" and "interrupt + resume"
-/// can be compared byte-for-byte.
-class ArtifactCsv {
- public:
-  explicit ArtifactCsv(const std::string& header) {
-    ss_.precision(17);
-    ss_ << header << '\n';
-  }
-  std::ostringstream& row() { return ss_; }
-  void write(const std::string& path) const {
-    support::write_file_atomic(path, ss_.str());
-  }
-
- private:
-  std::ostringstream ss_;
-};
-
 /// A sweep's output: the CSV on stdout, a `# resilience:` line when any
 /// point degraded or did not run, and with --out the full-precision artifact
-/// with an extra fidelity column. `fields` writes one row's columns.
+/// with an extra fidelity column. `fields` gives one row's values.
 template <typename Row, typename Fields>
-void emit_sweep(const Args& args, std::ostream& os, const std::string& header,
-                const std::vector<Row>& rows,
+void emit_sweep(const Args& args, std::ostream& os,
+                std::vector<std::string> headers, const std::vector<Row>& rows,
                 const analysis::BatchSummary& summary, Fields fields) {
-  os << header << '\n';
-  for (const Row& r : rows) {
-    fields(os, r);
-    os << '\n';
-  }
+  io::write_csv_line(os, headers);
+  for (const Row& r : rows) io::write_csv_line(os, fields(r));
   if (!summary.all_full_fidelity() || summary.not_run > 0)
     os << "# resilience: " << summary.to_string() << '\n';
 
   const std::string out_path = args.get_or("out", "");
   if (out_path.empty()) return;
-  ArtifactCsv csv(header + ",fidelity");
+  headers.push_back("fidelity");
+  io::CsvWriter csv(std::move(headers));
   for (const Row& r : rows) {
-    fields(csv.row(), r);
-    csv.row() << ',' << int(r.fidelity) << '\n';
+    std::vector<double> values = fields(r);
+    values.push_back(double(int(r.fidelity)));
+    csv.add_row(values);
   }
-  csv.write(out_path);
+  csv.write_file(out_path);
 }
 
 }  // namespace
@@ -443,10 +427,11 @@ int cmd_sweep_n(const Args& args, std::ostream& os) {
       total, config.batch, os);
 
   const auto result = analysis::run_driver_sweep(config);
-  emit_sweep(args, os, "n,sim,this_work,vemuru,song,senthinathan", result.rows,
-             result.summary, [](std::ostream& s, const auto& r) {
-               s << r.n << ',' << r.sim << ',' << r.this_work << ','
-                 << r.vemuru << ',' << r.song << ',' << r.senthinathan;
+  emit_sweep(args, os,
+             {"n", "sim", "this_work", "vemuru", "song", "senthinathan"},
+             result.rows, result.summary, [](const auto& r) {
+               return std::vector<double>{double(r.n), r.sim, r.this_work,
+                                          r.vemuru, r.song, r.senthinathan};
              });
   warn_unused(args, os);
   return setup.finish(os, result.summary, total, "points");
@@ -470,10 +455,11 @@ int cmd_sweep_c(const Args& args, std::ostream& os) {
       total, config.batch, os);
 
   const auto result = analysis::run_capacitance_sweep(config);
-  emit_sweep(args, os, "c,zeta,sim,lc_model,l_only,err_lc,err_l_only",
-             result.rows, result.summary, [](std::ostream& s, const auto& r) {
-               s << r.c << ',' << r.zeta << ',' << r.sim << ',' << r.lc_model
-                 << ',' << r.l_only << ',' << r.err_lc << ',' << r.err_l_only;
+  emit_sweep(args, os,
+             {"c", "zeta", "sim", "lc_model", "l_only", "err_lc", "err_l_only"},
+             result.rows, result.summary, [](const auto& r) {
+               return std::vector<double>{r.c, r.zeta, r.sim, r.lc_model,
+                                          r.l_only, r.err_lc, r.err_l_only};
              });
   warn_unused(args, os);
   return setup.finish(os, result.summary, total, "points");
@@ -557,15 +543,13 @@ int cmd_mc(const Args& args, std::ostream& os) {
     // a clean run and an interrupt + resume (only completed rows appear).
     const std::string out_path = args.get_or("out", "");
     if (!out_path.empty()) {
-      ArtifactCsv csv(
-          "index,l_factor,c_factor,rise_factor,width_factor,fidelity,v_max");
-      for (const auto& s : mc.samples) {
-        if (!s.completed) continue;
-        csv.row() << s.index << ',' << s.l_factor << ',' << s.c_factor << ','
-                  << s.rise_factor << ',' << s.width_factor << ','
-                  << int(s.fidelity) << ',' << s.v_max << '\n';
-      }
-      csv.write(out_path);
+      io::CsvWriter csv({"index", "l_factor", "c_factor", "rise_factor",
+                         "width_factor", "fidelity", "v_max"});
+      for (const auto& s : mc.samples)
+        if (s.completed)
+          csv.add_row({double(s.index), s.l_factor, s.c_factor, s.rise_factor,
+                       s.width_factor, double(int(s.fidelity)), s.v_max});
+      csv.write_file(out_path);
     }
     warn_unused(args, os);
     return setup.finish(os, mc.summary, mc.samples.size(), "samples");
@@ -607,28 +591,9 @@ int cmd_ac(const Args& args, std::ostream& os) {
   const auto pkg = package_from(args);
   const int n = args.get_int("n", 8);
 
-  circuit::Circuit ckt;
-  const circuit::NodeId n_vdd = ckt.node("vdd");
-  const circuit::NodeId n_vssi = ckt.node("vssi");
-  ckt.add_vsource("Vdd", n_vdd, circuit::kGround, waveform::Dc{tech.vdd});
-  ckt.add_inductor("Lgnd", n_vssi, circuit::kGround, pkg.inductance);
-  if (pkg.capacitance > 0.0)
-    ckt.add_capacitor("Cpad", n_vssi, circuit::kGround, pkg.capacitance);
-  std::shared_ptr<const devices::MosfetModel> nmos(
-      tech.make_golden(golden_from(args)));
-  for (int i = 0; i < n; ++i) {
-    const std::string idx = std::to_string(i);
-    const circuit::NodeId in = ckt.node("in" + idx);
-    const circuit::NodeId out = ckt.node("out" + idx);
-    ckt.add_vsource("Vin" + idx, in, circuit::kGround,
-                    waveform::Dc{0.5 * tech.vdd + 0.35});
-    ckt.add_mosfet("Mn" + idx, out, in, n_vssi, circuit::kGround, nmos);
-    ckt.add_resistor("Rload" + idx, n_vdd, out, 200.0);
-    ckt.add_capacitor("Cl" + idx, out, circuit::kGround, tech.load_cap);
-  }
-  auto& probe = ckt.add_isource("Iprobe", circuit::kGround, n_vssi,
-                                waveform::Dc{0.0});
-  probe.set_ac(1.0);
+  circuit::Circuit ckt =
+      circuit::make_ground_probe(tech, golden_from(args), pkg.inductance,
+                                 pkg.capacitance, n, 0.5 * tech.vdd + 0.35);
 
   sim::AcOptions opts;
   opts.f_start = args.get_double("fstart", 1e8);
@@ -690,16 +655,16 @@ int cmd_simulate(const Args& args, std::ostream& os) {
   const auto& result = run.result;
 
   // Every signal as time,<signals> rows: the default stdout CSV and --out.
-  std::string header = "time";
-  for (const auto& name : result.signal_names()) header += ',' + name;
-  const auto write_rows = [&](std::ostream& s) {
+  std::vector<std::string> headers = {"time"};
+  for (const auto& name : result.signal_names()) headers.push_back(name);
+  const auto for_each_row = [&](const auto& emit) {
     std::vector<waveform::Waveform> waves;
     for (const auto& name : result.signal_names())
       waves.push_back(result.waveform(name));
     for (std::size_t i = 0; i < result.point_count(); ++i) {
-      s << result.times()[i];
-      for (const auto& w : waves) s << ',' << w.value(i);
-      s << '\n';
+      std::vector<double> values = {result.times()[i]};
+      for (const auto& w : waves) values.push_back(w.value(i));
+      emit(values);
     }
   };
 
@@ -718,15 +683,16 @@ int cmd_simulate(const Args& args, std::ostream& os) {
     os << probe << ": min " << wave.minimum().value << ", max "
        << wave.maximum().value << "\n";
   } else {
-    os << header << '\n';
-    write_rows(os);
+    io::write_csv_line(os, headers);
+    for_each_row(
+        [&](const std::vector<double>& v) { io::write_csv_line(os, v); });
   }
 
   const std::string out_path = args.get_or("out", "");
   if (!out_path.empty()) {
-    ArtifactCsv csv(header);
-    write_rows(csv.row());
-    csv.write(out_path);
+    io::CsvWriter csv(headers);
+    for_each_row([&](const std::vector<double>& v) { csv.add_row(v); });
+    csv.write_file(out_path);
   }
   warn_unused(args, os);
   if (run.error) {

@@ -35,12 +35,6 @@ SsnScenario SsnScenario::with_capacitance(double c) const {
   return s;
 }
 
-SsnScenario SsnScenario::with_inductance(double l) const {
-  SsnScenario s = *this;
-  s.inductance = l;
-  return s;
-}
-
 SsnScenario SsnScenario::with_slope(double sl) const {
   SsnScenario s = *this;
   s.slope = sl;

@@ -51,7 +51,6 @@ struct SsnScenario {
   /// Copy with a different driver count / capacitance (sweep helpers).
   SsnScenario with_drivers(int n) const;
   SsnScenario with_capacitance(double c) const;
-  SsnScenario with_inductance(double l) const;
   SsnScenario with_slope(double s) const;
 };
 

@@ -8,7 +8,7 @@
 // slope are dimensionless.
 // ssn-units: k=A/V, lambda=1, vx=V, eps_smooth=V
 // ssn-units: vg=V, vs=V, vgs=V, vds=V, vbs=V, overdrive=V, slope=1
-// ssn-units: ids=A, ids_gate_source=A, turn_on_vg=V, gm=A/V, gds=A/V, gmb=A/V
+// ssn-units: ids=A, ids_gate_source=A, gm=A/V, gds=A/V, gmb=A/V
 // ssn-units: softplus=V
 
 namespace ssnkit::devices {
@@ -26,10 +26,6 @@ AsdmModel::AsdmModel(AsdmParams params) : params_(params) { params_.validate(); 
 
 double AsdmModel::ids_gate_source(double vg, double vs) const {
   return std::max(0.0, params_.k * (vg - params_.lambda * vs - params_.vx));
-}
-
-double AsdmModel::turn_on_vg(double vs) const {
-  return params_.lambda * vs + params_.vx;
 }
 
 double AsdmModel::ids(double vgs, double /*vds*/, double vbs) const {

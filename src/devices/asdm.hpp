@@ -43,10 +43,6 @@ class AsdmModel final : public MosfetModel {
   /// voltages (bulk at 0, drain high). Hard-clamped at zero.
   double ids_gate_source(double vg, double vs) const;
 
-  /// Gate voltage at which the device turns on for a given source voltage:
-  /// V_g = lambda*V_s + V_x.
-  double turn_on_vg(double vs) const;
-
   // MosfetModel interface. vds is ignored (pure saturation model); the
   // bulk-referenced identity V_g - lambda*V_s = vgs - (lambda-1)*V_s with
   // V_s = -vbs recovers the paper's form.

@@ -20,19 +20,9 @@ void CsvWriter::add_row(const std::vector<double>& row) {
 }
 
 void CsvWriter::write(std::ostream& os) const {
-  for (std::size_t i = 0; i < headers_.size(); ++i) {
-    if (i) os << ',';
-    os << headers_[i];
-  }
-  os << '\n';
-  os.precision(12);
-  for (const auto& row : rows_) {
-    for (std::size_t i = 0; i < row.size(); ++i) {
-      if (i) os << ',';
-      os << row[i];
-    }
-    os << '\n';
-  }
+  write_csv_line(os, headers_);
+  os.precision(17);
+  for (const auto& row : rows_) write_csv_line(os, row);
   if (!os)
     throw IoError(IoError::Kind::kWriteFailed, "<stream>",
                   "stream entered a failed state while writing " +
@@ -40,9 +30,8 @@ void CsvWriter::write(std::ostream& os) const {
 }
 
 void CsvWriter::write_file(const std::string& path) const {
-  // Render fully in memory, then publish atomically: a reader (or a crash)
-  // never observes a half-written CSV, and an interrupted batch that
-  // rewrites its output file cannot truncate a previous good version.
+  // Render fully in memory, then publish atomically: an interrupted batch
+  // that rewrites its output file cannot truncate a previous good version.
   std::ostringstream buffer;
   write(buffer);
   support::write_file_atomic(path, buffer.str());

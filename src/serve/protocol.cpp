@@ -129,7 +129,7 @@ RequestParse parse_request(const std::string& line) {
   v.bool_field("include_c", req.include_c);
   v.bool_field("sim", req.sim);
   v.int_field("samples", req.samples, 1, 200000);
-  v.int_field("seed", req.seed, 0, 1 << 30);
+  v.int_field("seed", req.seed, 0, kMaxSeed);
   v.int_field("max_n", req.max_n, 1, 64);
   v.double_field("deadline", req.deadline_s, 0.0, kMaxDeadlineS);
   v.reject_unknown();

@@ -69,6 +69,11 @@ struct ServeRequest {
 /// request's "deadline" to [0, kMaxDeadlineS].
 inline constexpr double kMaxDeadlineS = 3600.0;
 
+/// The largest Monte Carlo seed: serve's "seed" and `ssnkit mc --seed`
+/// both accept [0, kMaxSeed], so every seed one front end runs the other
+/// runs too.
+inline constexpr int kMaxSeed = 2147483647;
+
 /// Outcome of parsing + validating one request line.
 struct RequestParse {
   bool ok = false;

@@ -115,7 +115,11 @@ void Server::submit_line(const std::string& line, ResponseSink sink) {
     // Read under mu_, so no request is admitted after finish() has told
     // the server threads to exit once the queue is empty.
     was_draining = draining();
-    if (!was_draining && queue_.size() < config_.queue_capacity) {
+    // Waiting to start means queued or, in process mode, dequeued but held
+    // at the worker gate: tickets drawn and not yet served.
+    const std::size_t waiting =
+        queue_.size() + std::size_t(worker_tickets_ - worker_turn_);
+    if (!was_draining && waiting < config_.queue_capacity) {
       ++stats_.accepted;
       queue_.push_back(Pending{std::move(parsed.request), std::move(sink)});
       cv_work_.notify_one();

@@ -9,10 +9,11 @@
 // Robustness contract (what the fault-injection and smoke tests pin down):
 //
 //   - Admission is bounded: when queue_capacity admitted requests are
-//     waiting to start, a new one is *shed* with a typed SSN-E064 response
-//     carrying a retry hint — memory stays bounded no matter how hard
-//     clients push, and a cheap request never waits behind an expensive
-//     one while a server thread is idle.
+//     waiting to start (queued, or held at the process-mode worker gate),
+//     a new one is *shed* with a typed SSN-E064 response carrying a retry
+//     hint — memory stays bounded no matter how hard clients push, and a
+//     cheap request never waits behind an expensive one while a server
+//     thread is idle.
 //   - One request's failure is that request's problem: a SolverError (or a
 //     per-request deadline, its own or --request-deadline) is serialized
 //     back to its client as SSN-E065/E066 and the daemon keeps serving.
@@ -66,7 +67,8 @@ struct ServerConfig {
   /// starts more threads if the pool has more workers.
   int threads = 0;
   /// Admission bound: requests beyond this many admitted but not yet
-  /// started are shed (E064).
+  /// started (queued, or held at the process-mode worker gate) are shed
+  /// (E064).
   std::size_t queue_capacity = 64;
   /// Result-cache entries; 0 disables caching.
   std::size_t cache_capacity = 4096;

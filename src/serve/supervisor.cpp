@@ -307,14 +307,18 @@ WorkerOutcome Supervisor::execute(const ServeRequest& request,
   return out;
 }
 
-void Supervisor::kill_inflight() {
-  std::lock_guard<std::mutex> lock(mu_);
+void Supervisor::kill_busy_locked() {
   for (Slot& slot : slots_) {
     if (slot.state != SlotState::kBusy) continue;
     slot.drain_killed = true;
     slot.kill_sent = true;
     support::kill_child(slot.pid);
   }
+}
+
+void Supervisor::kill_inflight() {
+  std::lock_guard<std::mutex> lock(mu_);
+  kill_busy_locked();
 }
 
 void Supervisor::shutdown() {
@@ -326,13 +330,7 @@ void Supervisor::shutdown() {
     // Unblock executors stuck on busy workers: without their SIGKILL the
     // socketpair never EOFs. (The server guarantees no new execute() calls
     // race shutdown — its threads are joined first.)
-    for (Slot& slot : slots_) {
-      if (slot.state == SlotState::kBusy) {
-        slot.drain_killed = true;
-        slot.kill_sent = true;
-        support::kill_child(slot.pid);
-      }
-    }
+    kill_busy_locked();
   }
   cv_idle_.notify_all();
   cv_watchdog_.notify_all();

@@ -171,6 +171,8 @@ class Supervisor {
   /// Close + reap a dead worker and schedule its respawn. Returns the
   /// backoff applied. Caller holds mu_.
   double mark_dead_locked(Slot& slot);
+  /// SIGKILL every busy worker, marking it drain-killed. Caller holds mu_.
+  void kill_busy_locked();
   void emit(const std::string& line);
 
   const SupervisorConfig config_;

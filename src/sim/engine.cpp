@@ -262,6 +262,27 @@ NewtonOutcome solve_newton(Circuit& ckt, const StampContext& base, Vector& x,
   return out;
 }
 
+/// The gmin ramp of DC gmin stepping and of the transient rescue: Newton on
+/// the same iterate x at gmin = `first`, ×1e-2 per stage down to 1e-12, then
+/// one plain solve. `stage(gmin, outcome)` sees every solve in order (gmin 0
+/// for the plain one). True when every solve converged; x then holds the
+/// solution.
+template <typename Stage>
+bool gmin_ramp(Circuit& ckt, const StampContext& base, Vector& x, double first,
+               const NewtonOptions& newton, SolverWorkspace& ws,
+               const Stage& stage) {
+  for (double gmin = first; gmin >= 1e-12; gmin *= 1e-2) {
+    StampContext ctx = base;
+    ctx.gmin = gmin;
+    const NewtonOutcome r = solve_newton(ckt, ctx, x, newton, ws);
+    stage(gmin, r);
+    if (!r.converged) return false;
+  }
+  const NewtonOutcome r = solve_newton(ckt, base, x, newton, ws);
+  stage(0.0, r);
+  return r.converged;
+}
+
 /// Classify a failed Newton outcome for the SolverError taxonomy.
 SolverErrorKind classify(const NewtonOutcome& nr) {
   if (nr.singular) return SolverErrorKind::kSingularMatrix;
@@ -442,27 +463,14 @@ DcResult dc_operating_point(Circuit& ckt, double time, const NewtonOptions& newt
   {
     out.used_gmin_stepping = true;
     Vector x(n);
-    bool ok = true;
-    for (double gmin = 1e-2; gmin >= 1e-12; gmin *= 1e-2) {
-      StampContext ctx = base;
-      ctx.gmin = gmin;
-      const auto r = solve_newton(ckt, ctx, x, newton, ws);
+    const auto stage = [&](double gmin, const NewtonOutcome& r) {
       out.iterations += r.iterations;
-      record(format_scale("gmin=", gmin), r);
-      if (!r.converged) {
-        ok = false;
-        break;
-      }
-    }
-    if (ok) {
-      const auto r = solve_newton(ckt, base, x, newton, ws);
-      out.iterations += r.iterations;
-      record("gmin-final", r);
-      if (r.converged) {
-        out.solution = std::move(x);
-        SSN_ASSERT_FINITE(out.solution);
-        return out;
-      }
+      record(gmin > 0.0 ? format_scale("gmin=", gmin) : "gmin-final", r);
+    };
+    if (gmin_ramp(ckt, base, x, 1e-2, newton, ws, stage)) {
+      out.solution = std::move(x);
+      SSN_ASSERT_FINITE(out.solution);
+      return out;
     }
   }
   // 3. Source stepping.
@@ -665,28 +673,14 @@ TransientRun run_transient_ex(Circuit& ckt, const TransientOptions& opts) {
       bool rescued = false;
       if (opts.newton_gmin_recovery) {
         Vector xg = x;
-        bool ramp_ok = true;
-        std::size_t rescue_iters = 0;
-        for (double gmin = 1e-3; gmin >= 1e-12; gmin *= 1e-2) {
-          StampContext ctx = base;
-          ctx.gmin = gmin;
-          const auto rg = solve_newton(ckt, ctx, xg, opts.newton, ws);
-          rescue_iters += rg.iterations;
-          if (!rg.converged) {
-            ramp_ok = false;
-            break;
-          }
+        rescued = gmin_ramp(ckt, base, xg, 1e-3, opts.newton, ws,
+                            [&](double, const NewtonOutcome& r) {
+                              result.stats.newton_iterations += r.iterations;
+                            });
+        if (rescued) {
+          x_cand = std::move(xg);
+          ++result.stats.gmin_rescues;
         }
-        if (ramp_ok) {
-          const auto rf = solve_newton(ckt, base, xg, opts.newton, ws);
-          rescue_iters += rf.iterations;
-          if (rf.converged) {
-            x_cand = std::move(xg);
-            rescued = true;
-          }
-        }
-        result.stats.newton_iterations += rescue_iters;
-        if (rescued) ++result.stats.gmin_rescues;
       }
       if (!rescued) {
         SolverDiagnostics diag;

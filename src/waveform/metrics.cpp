@@ -31,13 +31,6 @@ std::optional<double> first_falling_crossing(const Waveform& w, double level) {
   return std::nullopt;
 }
 
-WaveformError compare(const Waveform& model, const Waveform& reference) {
-  SSN_REQUIRE(!model.empty() && !reference.empty(), "compare: empty waveform");
-  return compare(model, reference,
-                 std::max(model.t_begin(), reference.t_begin()),
-                 std::min(model.t_end(), reference.t_end()));
-}
-
 WaveformError compare(const Waveform& model, const Waveform& reference,
                       double t0, double t1) {
   SSN_REQUIRE(!model.empty() && !reference.empty(), "compare: empty waveform");

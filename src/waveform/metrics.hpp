@@ -17,16 +17,14 @@ std::optional<double> first_rising_crossing(const Waveform& w, double level);
 std::optional<double> first_falling_crossing(const Waveform& w, double level);
 
 /// Error metrics between a model waveform and a reference, evaluated at the
-/// reference's time points inside the overlap window.
+/// reference's time points inside a window.
 struct WaveformError {
   double max_abs = 0.0;        ///< max |model - ref|
   double rms_abs = 0.0;        ///< RMS of |model - ref|
   double peak_rel = 0.0;       ///< |max(model) - max(ref)| / |max(ref)|
   double norm_max_abs = 0.0;   ///< max_abs / max |ref|
 };
-WaveformError compare(const Waveform& model, const Waveform& reference);
-
-/// Compare restricted to [t0, t1].
+/// Compare at the reference's time points inside [t0, t1].
 WaveformError compare(const Waveform& model, const Waveform& reference,
                       double t0, double t1);
 

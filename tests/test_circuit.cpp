@@ -41,8 +41,6 @@ TEST(Circuit, NodeCreationAndLookup) {
   const NodeId a = ckt.node("a");
   EXPECT_EQ(ckt.node("a"), a);  // idempotent
   EXPECT_EQ(ckt.find_node("a"), a);
-  EXPECT_TRUE(ckt.has_node("a"));
-  EXPECT_FALSE(ckt.has_node("b"));
   EXPECT_THROW(ckt.find_node("b"), std::out_of_range);
   EXPECT_EQ(ckt.node_name(a), "a");
   EXPECT_EQ(ckt.node_count(), 2);
@@ -124,8 +122,8 @@ C1 out 0 10p
   ASSERT_TRUE(parsed.tran.has_value());
   EXPECT_DOUBLE_EQ(parsed.tran->tstep, 1e-12);
   EXPECT_DOUBLE_EQ(parsed.tran->tstop, 1e-9);
-  EXPECT_TRUE(parsed.circuit.has_node("in"));
-  EXPECT_TRUE(parsed.circuit.has_node("out"));
+  EXPECT_NO_THROW(parsed.circuit.find_node("in"));
+  EXPECT_NO_THROW(parsed.circuit.find_node("out"));
   EXPECT_NE(parsed.circuit.find_element("C1"), nullptr);
 }
 
@@ -207,13 +205,13 @@ TEST(Testbench, BuildsExpectedTopology) {
   EXPECT_EQ(bench.output_nodes.size(), 4u);
   for (const auto& out : bench.output_nodes) EXPECT_EQ(out, "out0");
   for (const auto& in : bench.input_nodes) EXPECT_EQ(in, "in0");
-  EXPECT_TRUE(bench.circuit.has_node("vssi"));
+  EXPECT_NO_THROW(bench.circuit.find_node("vssi"));
   EXPECT_NE(bench.circuit.find_element("Lgnd"), nullptr);
   EXPECT_NE(bench.circuit.find_element("Cpad"), nullptr);
   EXPECT_NE(bench.circuit.find_element("Mn0"), nullptr);
   EXPECT_NE(bench.circuit.find_element("Mp0"), nullptr);
   EXPECT_EQ(bench.circuit.find_element("Mp3"), nullptr);
-  EXPECT_FALSE(bench.circuit.has_node("out3"));
+  EXPECT_THROW(bench.circuit.find_node("out3"), std::out_of_range);
   EXPECT_DOUBLE_EQ(bench.t_ramp_end, spec.input_rise_time);
   EXPECT_NEAR(bench.slope, spec.tech.vdd / spec.input_rise_time, 1e-3);
 }
@@ -270,8 +268,8 @@ Rload bot 0 1meg
   EXPECT_NE(parsed.circuit.find_element("X2.C1"), nullptr);
   EXPECT_EQ(parsed.circuit.find_element("R1"), nullptr);
   // Ports connect across instances: X1's "out" is the global "mid".
-  EXPECT_TRUE(parsed.circuit.has_node("mid"));
-  EXPECT_TRUE(parsed.circuit.has_node("X1.out") == false);
+  EXPECT_NO_THROW(parsed.circuit.find_node("mid"));
+  EXPECT_THROW(parsed.circuit.find_node("X1.out"), std::out_of_range);
 }
 
 TEST(Netlist, SubcircuitDcSolvesCorrectly) {

@@ -138,7 +138,9 @@ TEST(LOnly, MonotoneInDriversInductanceSlope) {
   }
   prev = 0.0;
   for (double l = 1e-9; l <= 16e-9; l *= 2.0) {
-    const double v = LOnlyModel(s.with_inductance(l)).v_max();
+    SsnScenario with_l = s;
+    with_l.inductance = l;
+    const double v = LOnlyModel(with_l).v_max();
     EXPECT_GT(v, prev);
     prev = v;
   }

@@ -194,7 +194,6 @@ TEST(Asdm, PaperFormAndTurnOn) {
   EXPECT_NEAR(m.ids_gate_source(1.6, 0.0), 5e-3 * 1.0, 1e-12);
   // Source bounce of 0.2 V costs lambda*0.2 of gate overdrive.
   EXPECT_NEAR(m.ids_gate_source(1.6, 0.2), 5e-3 * (1.6 - 1.3 * 0.2 - 0.6), 1e-12);
-  EXPECT_NEAR(m.turn_on_vg(0.2), 1.3 * 0.2 + 0.6, 1e-12);
 }
 
 TEST(Asdm, MosfetInterfaceMatchesPaperForm) {

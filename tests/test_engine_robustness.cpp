@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 namespace {
 
@@ -180,6 +181,24 @@ TEST(PathologicalFixtures, LargeNonlinearBankRecordsDcTrail) {
   EXPECT_NEAR(dc.voltage(bench.circuit, bench.vdd_node), spec.tech.vdd, 1e-6);
 }
 
+struct ExpectedStage {
+  const char* name;
+  bool converged;
+  std::size_t iterations;
+};
+
+/// The DC homotopy trail, stage by stage: names, converged flags and
+/// Newton iterations.
+void expect_trail(const std::vector<support::HomotopyStage>& trail,
+                  const std::vector<ExpectedStage>& expected) {
+  ASSERT_EQ(trail.size(), expected.size());
+  for (std::size_t i = 0; i < trail.size(); ++i) {
+    EXPECT_EQ(trail[i].name, expected[i].name) << "stage " << i;
+    EXPECT_EQ(trail[i].converged, expected[i].converged) << "stage " << i;
+    EXPECT_EQ(trail[i].iterations, expected[i].iterations) << "stage " << i;
+  }
+}
+
 TEST(PathologicalFixtures, StarvedNewtonFallsBackToHomotopy) {
   // Starve Newton of iterations while capping the per-iteration voltage
   // move: the plain stage cannot walk the supply rail up to vdd, so the DC
@@ -193,9 +212,21 @@ TEST(PathologicalFixtures, StarvedNewtonFallsBackToHomotopy) {
   nopts.max_iterations = 10;
   const DcResult dc = dc_operating_point(bench.circuit, 0.0, nopts);
   EXPECT_TRUE(dc.used_gmin_stepping || dc.used_source_stepping);
-  ASSERT_FALSE(dc.homotopy_trail.empty());
-  EXPECT_FALSE(dc.homotopy_trail.front().converged);
-  EXPECT_TRUE(dc.homotopy_trail.back().converged);
+  // Plain Newton and the first gmin stage run out of iterations; source
+  // stepping then finishes in ten stages of five.
+  expect_trail(dc.homotopy_trail, {{"plain-newton", false, 10},
+                                   {"gmin=1e-02", false, 10},
+                                   {"source=1e-01", true, 5},
+                                   {"source=2e-01", true, 5},
+                                   {"source=3e-01", true, 5},
+                                   {"source=4e-01", true, 5},
+                                   {"source=5e-01", true, 5},
+                                   {"source=6e-01", true, 5},
+                                   {"source=7e-01", true, 5},
+                                   {"source=8e-01", true, 5},
+                                   {"source=9e-01", true, 5},
+                                   {"source=1e+00", true, 5}});
+  EXPECT_EQ(dc.iterations, 70u);
   EXPECT_NEAR(dc.voltage(bench.circuit, bench.vdd_node), spec.tech.vdd, 1e-6);
   // The result agrees with the unconstrained solve.
   SsnBench fresh = make_ssn_testbench(spec);
@@ -220,14 +251,10 @@ TEST(PathologicalFixtures, HopelessNewtonBudgetCarriesFullTrail) {
   } catch (const support::SolverError& e) {
     const auto& diag = e.diagnostics();
     EXPECT_EQ(diag.where, "dc_operating_point");
-    EXPECT_GT(diag.newton_iterations, 0u);
-    bool saw_gmin = false, saw_source = false;
-    for (const auto& stage : diag.homotopy_trail) {
-      if (stage.name.rfind("gmin", 0) == 0) saw_gmin = true;
-      if (stage.name.rfind("source", 0) == 0) saw_source = true;
-    }
-    EXPECT_TRUE(saw_gmin);
-    EXPECT_TRUE(saw_source);
+    EXPECT_EQ(diag.newton_iterations, 9u);
+    expect_trail(diag.homotopy_trail, {{"plain-newton", false, 3},
+                                       {"gmin=1e-02", false, 3},
+                                       {"source=1e-01", false, 3}});
     EXPECT_TRUE(std::isfinite(diag.residual));
     EXPECT_GT(diag.residual, 0.0);
   }

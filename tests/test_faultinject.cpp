@@ -19,8 +19,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace {
@@ -492,10 +494,63 @@ TEST_F(FaultInjection, DcNewtonFaultForcesGminStepping) {
   const DcResult dc = dc_operating_point(ckt);
   EXPECT_TRUE(dc.used_gmin_stepping);
   EXPECT_FALSE(dc.used_source_stepping);
-  ASSERT_FALSE(dc.homotopy_trail.empty());
-  EXPECT_EQ(dc.homotopy_trail.front().name, "plain-newton");
-  EXPECT_FALSE(dc.homotopy_trail.front().converged);
+  // The whole ramp, gmin = 1e-2 down to 1e-12, then the plain solve.
+  const std::vector<std::pair<std::string, std::size_t>> trail = {
+      {"plain-newton", 1}, {"gmin=1e-02", 2}, {"gmin=1e-04", 2},
+      {"gmin=1e-06", 2},   {"gmin=1e-08", 2}, {"gmin=1e-10", 2},
+      {"gmin=1e-12", 1},   {"gmin-final", 1}};
+  ASSERT_EQ(dc.homotopy_trail.size(), trail.size());
+  for (std::size_t i = 0; i < trail.size(); ++i) {
+    EXPECT_EQ(dc.homotopy_trail[i].name, trail[i].first);
+    EXPECT_EQ(dc.homotopy_trail[i].converged, i > 0) << trail[i].first;
+    EXPECT_EQ(dc.homotopy_trail[i].iterations, trail[i].second)
+        << trail[i].first;
+  }
+  EXPECT_EQ(dc.iterations, 13u);
   EXPECT_DOUBLE_EQ(dc.voltage(ckt, "b"), v_clean);
+}
+
+TEST_F(FaultInjection, NewtonFailureAtTheMinimumStepIsRescuedByGmin) {
+  SSN_NEEDS_INSTRUMENTED_BUILD();
+  // Fixed 1 ps steps over 1 ns from the initial conditions, DC sources
+  // only (no breakpoint shortens a step). Newton fails 15 times at the
+  // first timepoint, each time at a quarter of the step, until the step
+  // cannot shrink past 1e-12 of the span; the gmin ramp then rescues the
+  // point. The counters are pinned: the rescue adds its iterations, the
+  // steps after it restart from a tiny one, and none of it may move.
+  const process::Technology tech = process::tech_180nm();
+  std::shared_ptr<const devices::MosfetModel> nmos(
+      tech.make_golden(process::GoldenKind::kAlphaPower));
+  Circuit ckt;
+  const NodeId vdd = ckt.node("vdd");
+  const NodeId in = ckt.node("in");
+  const NodeId out = ckt.node("out");
+  const NodeId vssi = ckt.node("vssi");
+  ckt.add_vsource("Vdd", vdd, kGround, Dc{tech.vdd});
+  ckt.add_vsource("Vin", in, kGround, Dc{0.5 * tech.vdd + 0.35});
+  ckt.add_resistor("Rload", vdd, out, 200.0);
+  ckt.add_mosfet("Mn", out, in, vssi, kGround, nmos);
+  ckt.add_inductor("Lgnd", vssi, kGround, 5e-9);
+  ckt.add_capacitor("Cpad", vssi, kGround, 1e-12);
+  TransientOptions opts;
+  opts.t_stop = 1e-9;
+  opts.adaptive = false;
+  opts.dt_initial = 1e-12;
+  opts.use_ic = true;
+  opts.newton_gmin_recovery = true;
+
+  auto& injector = FaultInjector::instance();
+  FaultPlan plan;
+  plan.probability = 1.0;
+  plan.max_fires = 15;
+  injector.arm(FaultKind::kNewtonDivergence, plan);
+  const TransientRun run = run_transient_ex(ckt, opts);
+  ASSERT_TRUE(run.ok()) << run.error->what();
+  EXPECT_EQ(injector.fire_count(FaultKind::kNewtonDivergence), 15u);
+  EXPECT_EQ(run.result.stats.gmin_rescues, 1u);
+  EXPECT_EQ(run.result.stats.newton_failures, 27u);
+  EXPECT_EQ(run.result.stats.newton_iterations, 3248u);
+  EXPECT_EQ(run.result.stats.accepted_steps, 1002u);
 }
 
 TEST_F(FaultInjection, DcNewtonFaultCascadeForcesSourceStepping) {

@@ -6,7 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <cstdlib>
+#include <limits>
+#include <random>
 #include <sstream>
+#include <string>
+#include <vector>
 
 namespace {
 
@@ -24,6 +32,46 @@ TEST(Csv, HeaderAndRows) {
   EXPECT_NE(text.find("n,vmax\n"), std::string::npos);
   EXPECT_NE(text.find("1,0.25"), std::string::npos);
   EXPECT_EQ(csv.row_count(), 2u);
+}
+
+TEST(Csv, SeventeenDigitsRoundTripEveryDouble) {
+  // Every cell must parse back to the bits that were written: signed zeros,
+  // the smallest subnormal, the largest finite value, a value past the
+  // fixed-notation range, an inexact decimal, and random bit patterns.
+  using Limits = std::numeric_limits<double>;
+  std::vector<double> values = {0.0, -0.0, Limits::denorm_min(),
+                                -Limits::denorm_min(), Limits::max(),
+                                -Limits::max(), 1e21, 0.1};
+  std::mt19937_64 rng(20261021);
+  while (values.size() < 4000) {
+    const double v = std::bit_cast<double>(rng());
+    if (std::isfinite(v)) values.push_back(v);
+  }
+  CsvWriter csv({"a", "b", "c", "d"});
+  for (std::size_t i = 0; i < values.size(); i += 4)
+    csv.add_row({values[i], values[i + 1], values[i + 2], values[i + 3]});
+  std::ostringstream os;
+  csv.write(os);
+
+  std::istringstream lines(os.str());
+  std::string line;
+  ASSERT_TRUE(std::getline(lines, line));
+  EXPECT_EQ(line, "a,b,c,d");
+  std::size_t i = 0;
+  while (std::getline(lines, line)) {
+    std::istringstream cells(line);
+    for (std::string cell; std::getline(cells, cell, ',');) {
+      ASSERT_LT(i, values.size());
+      char* end = nullptr;
+      const double back = std::strtod(cell.c_str(), &end);
+      EXPECT_EQ(*end, '\0') << cell;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(back),
+                std::bit_cast<std::uint64_t>(values[i]))
+          << cell << " should be " << values[i];
+      ++i;
+    }
+  }
+  EXPECT_EQ(i, values.size());
 }
 
 TEST(Csv, WidthValidation) {

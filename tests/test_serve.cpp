@@ -3,6 +3,8 @@
 // robustness contract — bounded admission (SSN-E064), per-request deadlines
 // (SSN-E066), failure isolation (SSN-E065), and the every-accepted-request-
 // gets-exactly-one-response drain guarantee. See docs/SERVING.md.
+#include "analysis/calibrate.hpp"
+#include "analysis/montecarlo.hpp"
 #include "reference/montecarlo.hpp"
 #include "serve/cache.hpp"
 #include "serve/handlers.hpp"
@@ -36,6 +38,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace {
@@ -425,6 +428,40 @@ TEST(ServeServer, AnswersComputesAndCaches) {
   const auto stats = server.stats();
   EXPECT_EQ(stats.accepted, 2u);
   EXPECT_EQ(stats.cache_hits, 1u);
+}
+
+TEST(ServeServer, SeedRangeIsTheCliSeedRange) {
+  // `ssnkit mc --seed` runs any seed up to INT_MAX, and so does serve: the
+  // largest answers with monte_carlo_vmax's statistics at that seed, and
+  // the next one is refused with the bound named.
+  serve::Server server(quick_config());
+  ResponseCollector rc;
+  server.submit_line(R"({"id":"top","cmd":"mc","samples":2,"seed":2147483647})",
+                     rc.sink());
+  rc.await(1);
+  server.submit_line(
+      R"({"id":"over","cmd":"mc","samples":2,"seed":2147483648})", rc.sink());
+  const auto lines = rc.await(2);
+  ASSERT_EQ(lines.size(), 2u);
+
+  analysis::MonteCarloOptions opts;
+  opts.samples = 2;
+  opts.seed = 2147483647u;
+  const auto mc = analysis::monte_carlo_vmax(
+      analysis::make_scenario(analysis::calibrate(process::tech_180nm()),
+                              process::package_by_name("pga"), 8, 0.1e-9,
+                              true),
+      opts);
+  EXPECT_NE(lines[0].find(R"("id":"top","ok":true)"), std::string::npos)
+      << lines[0];
+  for (const auto& [key, value] :
+       {std::pair{"mean", mc.mean}, {"min", mc.min}, {"max", mc.max}})
+    EXPECT_NE(lines[0].find("\"" + std::string(key) +
+                            "\":" + serve::json_number(value)),
+              std::string::npos)
+        << key << ": " << lines[0];
+  EXPECT_NE(lines[1].find("SSN-E063"), std::string::npos) << lines[1];
+  EXPECT_NE(lines[1].find("[0, 2147483647]"), std::string::npos) << lines[1];
 }
 
 TEST(ServeServer, MalformedLineAnswersE063Immediately) {

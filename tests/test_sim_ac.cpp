@@ -1,11 +1,14 @@
 // Small-signal AC analysis against textbook transfer functions.
 #include "circuit/circuit.hpp"
+#include "circuit/testbench.hpp"
 #include "process/technology.hpp"
 #include "sim/ac.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 namespace {
 
@@ -114,6 +117,45 @@ TEST(Ac, GroundPathImpedance) {
   const double f_low = res.frequencies()[i_low];
   EXPECT_NEAR(res.magnitude("vssi")[i_low], 2.0 * M_PI * f_low * 5e-9,
               0.1 * 2.0 * M_PI * f_low * 5e-9);
+}
+
+std::vector<std::string> element_names(const Circuit& ckt) {
+  std::vector<std::string> names;
+  for (const auto& el : ckt.elements()) names.push_back(el->name());
+  return names;
+}
+
+TEST(Ac, GroundProbeBuildsTheDriverBankInOrder) {
+  // `ssnkit ac` and bench_ac_impedance print what this circuit answers, so
+  // its names and insertion order are part of their output.
+  const process::Technology tech = process::tech_180nm();
+  const Circuit two = make_ground_probe(tech, process::GoldenKind::kAlphaPower,
+                                        5e-9, 1e-12, 2, 1.25);
+  EXPECT_EQ(element_names(two),
+            (std::vector<std::string>{"Vdd", "Lgnd", "Cpad", "Vin0", "Mn0",
+                                      "Rload0", "Cl0", "Vin1", "Mn1", "Rload1",
+                                      "Cl1", "Iprobe"}));
+  // Without a pad capacitance there is no Cpad.
+  const Circuit no_c = make_ground_probe(tech, process::GoldenKind::kBsimLite,
+                                         5e-9, 0.0, 1, 1.25);
+  EXPECT_EQ(element_names(no_c),
+            (std::vector<std::string>{"Vdd", "Lgnd", "Vin0", "Mn0", "Rload0",
+                                      "Cl0", "Iprobe"}));
+}
+
+TEST(Ac, GroundProbePeaksAtTheTankResonanceWithOneDriver) {
+  // One conducting driver barely damps the L-C tank: |Z(vssi)| peaks within
+  // 5 % of f0 = 1/(2*pi*sqrt(LC)).
+  const process::Technology tech = process::tech_180nm();
+  const double l = 5e-9, c = 1e-12;
+  Circuit ckt = make_ground_probe(tech, process::GoldenKind::kAlphaPower, l, c,
+                                  1, 0.5 * tech.vdd + 0.35);
+  AcOptions opts;
+  opts.f_start = 2e8;
+  opts.f_stop = 2e11;
+  opts.points_per_decade = 60;
+  const double f0 = 1.0 / (2.0 * M_PI * std::sqrt(l * c));
+  EXPECT_NEAR(run_ac(ckt, opts).peak("vssi").frequency, f0, 0.05 * f0);
 }
 
 TEST(Ac, CommonSourceAmplifierGain) {

@@ -357,6 +357,34 @@ TEST(SupervisorProcess, ComputeBoundRequestsGetNoSpareWorkers) {
   EXPECT_EQ(peak_busy_workers(server, after, 4, 3), 2u);
 }
 
+TEST(SupervisorProcess, QueueBoundCountsRequestsHeldAtTheWorkerGate) {
+  // --queue 2 beside --threads 2 and the default pool of 4 workers, so 4
+  // server threads. In a cold pool two sweeps compute and two more wait at
+  // the worker gate: those two are the --queue requests waiting to start,
+  // so the next three are all shed with SSN-E064, as in thread mode.
+  // Counting only the queue admitted two of them.
+  serve::ServerConfig config = process_config(0);
+  config.queue_capacity = 2;
+  config.cache_capacity = 0;
+  serve::Server server(config);
+  ResponseCollector sweeps;
+  submit_sweeps(server, sweeps, 0, 2);
+  const auto t0 = std::chrono::steady_clock::now();
+  while (server.supervisor()->busy_workers() < 2 &&
+         std::chrono::steady_clock::now() - t0 < std::chrono::seconds(10))
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  submit_sweeps(server, sweeps, 2, 2);
+  // Two idle server threads take these to the gate.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  ResponseCollector late;
+  submit_sweeps(server, late, 4, 3);
+  ASSERT_EQ(server.supervisor()->busy_workers(), 2u)
+      << "a sweep left its worker before the last three arrived";
+  EXPECT_EQ(count_lines_with(late.await(3), "SSN-E064"), 3);
+  EXPECT_EQ(count_lines_with(sweeps.await(4), "\"ok\":true"), 4);
+  EXPECT_EQ(server.stats().shed, 3u);
+}
+
 TEST(SupervisorProcess, CacheHitIsAnsweredWhileTheOnlyWorkerIsBusy) {
   // --threads 2 beside --workers 1: the server keeps its 2 threads, so the
   // one a long sweep leaves free replays a cached estimate at once instead

@@ -127,7 +127,7 @@ TEST(Metrics, Crossings) {
 
 TEST(Metrics, CompareIdenticalIsZero) {
   const auto w = Waveform::from_function([](double t) { return t; }, 0.0, 1.0, 21);
-  const auto err = compare(w, w);
+  const auto err = compare(w, w, w.t_begin(), w.t_end());
   EXPECT_DOUBLE_EQ(err.max_abs, 0.0);
   EXPECT_DOUBLE_EQ(err.peak_rel, 0.0);
 }
@@ -136,7 +136,7 @@ TEST(Metrics, CompareReportsPeakError) {
   const auto ref = Waveform::from_function([](double t) { return std::sin(t); },
                                            0.0, M_PI, 201);
   const auto model = ref.scaled(1.1);
-  const auto err = compare(model, ref);
+  const auto err = compare(model, ref, ref.t_begin(), ref.t_end());
   EXPECT_NEAR(err.peak_rel, 0.1, 1e-6);
   EXPECT_NEAR(err.norm_max_abs, 0.1, 1e-6);
 }
